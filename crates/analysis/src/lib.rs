@@ -8,7 +8,7 @@
 //!   the closed-form product distribution of Proposition 2 (Eqs. 10–12),
 //!   detailed-balance/irreducibility/aperiodicity checks, and
 //!   total-variation mixing diagnostics. Also an empirical-distribution
-//!   sampler that runs the *actual* `DpEngine` and compares.
+//!   sampler that runs the *actual* `BatchedDpEngine` and compares.
 //! * [`feasibility`] — admission tools: the workload necessary condition
 //!   `Σ q_n / p_n ≤ T/airtime`, and an LDF-based bisection search for the
 //!   boundary of the feasible region (the "maximum admissible α*" the

@@ -404,27 +404,31 @@ pub fn stationary_from_log_odds(log_odds: &[f64]) -> Vec<f64> {
 /// `(0,1)`.
 #[must_use]
 pub fn empirical_sigma_distribution(mu: &[f64], intervals: usize, seed: u64) -> Vec<f64> {
-    use rtmac::mac::{DpConfig, DpEngine, MacTiming};
+    use rtmac::mac::{BatchedDpEngine, DpConfig, MacTiming};
     use rtmac::phy::channel::Bernoulli;
     use rtmac::phy::PhyProfile;
     use rtmac::sim::{Nanos, SeedStream};
 
     let n = mu.len();
     assert!((1..=8).contains(&n), "need 1..=8 links");
+    assert!(
+        mu.iter().all(|&m| m > 0.0 && m < 1.0),
+        "every mu must lie in (0, 1)"
+    );
     let timing = MacTiming::new(
         PhyProfile::ieee80211a(),
         // Generous interval: every link's packet plus slack always fits.
         Nanos::from_micros(400 * (n as u64 + 2)),
         100,
     );
-    let mut engine = DpEngine::new(DpConfig::new(timing), n);
+    let mut engine = BatchedDpEngine::new(DpConfig::new(timing), n);
     let mut channel = Bernoulli::reliable(n);
     let mut rng = SeedStream::new(seed).rng(0);
     let states: usize = (1..=n).product();
     let mut counts = vec![0u64; states];
     let arrivals = vec![1u32; n];
     for _ in 0..intervals {
-        let _ = engine.run_interval(&arrivals, mu, &mut channel, &mut rng);
+        let _ = engine.step(&arrivals, mu, &mut channel, &mut rng);
         counts[engine.sigma().rank() as usize] += 1;
     }
     counts
@@ -594,7 +598,7 @@ mod tests {
 
     #[test]
     fn engine_realizes_the_stationary_distribution() {
-        // The end-to-end check: the real DpEngine's empirical permutation
+        // The end-to-end check: the real DP engine's empirical permutation
         // distribution converges to the closed form of Proposition 2.
         let mu = [0.3, 0.5, 0.7];
         let empirical = empirical_sigma_distribution(&mu, 300_000, 42);

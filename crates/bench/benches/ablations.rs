@@ -4,14 +4,14 @@
 //! variant).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rtmac::mac::{DpConfig, DpEngine, MacTiming};
+use rtmac::mac::{BatchedDpEngine, DpConfig, MacTiming};
 use rtmac::phy::{channel::Bernoulli, PhyProfile};
 use rtmac::sim::{Nanos, SeedStream};
 use std::hint::black_box;
 
 fn run_dp(phy: PhyProfile, swap_pairs: usize, iters: usize) -> u64 {
     let timing = MacTiming::new(phy, Nanos::from_millis(20), 1500);
-    let mut engine = DpEngine::new(DpConfig::new(timing).with_swap_pairs(swap_pairs), 20);
+    let mut engine = BatchedDpEngine::new(DpConfig::new(timing).with_swap_pairs(swap_pairs), 20);
     let mut channel = Bernoulli::new(vec![0.7; 20]).unwrap();
     let mut rng = SeedStream::new(5).rng(0);
     let arrivals = vec![3u32; 20];
@@ -19,7 +19,7 @@ fn run_dp(phy: PhyProfile, swap_pairs: usize, iters: usize) -> u64 {
     let mut total = 0;
     for _ in 0..iters {
         total += engine
-            .run_interval(&arrivals, &mu, &mut channel, &mut rng)
+            .step(&arrivals, &mu, &mut channel, &mut rng)
             .outcome
             .total_deliveries();
     }

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rtmac::mac::{
-    CentralizedEngine, DcfConfig, DcfEngine, DpConfig, DpEngine, FcsmaEngine, MacTiming,
+    BatchedDpEngine, CentralizedEngine, DcfConfig, DcfEngine, DpConfig, FcsmaEngine, MacTiming,
 };
 use rtmac::model::{LinkId, Permutation};
 use rtmac::phy::{channel::Bernoulli, PhyProfile};
@@ -16,13 +16,16 @@ fn video_timing() -> MacTiming {
 }
 
 fn bench_dp_interval(c: &mut Criterion) {
-    let mut engine = DpEngine::new(DpConfig::new(video_timing()), 20);
+    let mut engine = BatchedDpEngine::new(DpConfig::new(video_timing()), 20);
     let mut channel = Bernoulli::new(vec![0.7; 20]).unwrap();
     let mut rng = SeedStream::new(1).rng(0);
     let arrivals = vec![3u32; 20];
     let mu = vec![0.5f64; 20];
     c.bench_function("dp_engine_one_interval_n20", |b| {
-        b.iter(|| black_box(engine.run_interval(&arrivals, &mu, &mut channel, &mut rng)))
+        b.iter(|| {
+            let report = engine.step(&arrivals, &mu, &mut channel, &mut rng);
+            black_box(report.swaps.len())
+        })
     });
 }
 
@@ -66,7 +69,7 @@ fn bench_reference_interval(c: &mut Criterion) {
     let arrivals = vec![3u32; 20];
     let xi = vec![true; 20];
     c.bench_function("reference_one_interval_n20", |b| {
-        b.iter(|| black_box(net.run_interval(&arrivals, Some(7), &xi, &mut channel, &mut rng)))
+        b.iter(|| black_box(net.run_interval(&arrivals, &[7], &xi, &mut channel, &mut rng)))
     });
 }
 

@@ -3,7 +3,7 @@
 //! the number of swap pairs (Remark 6), and centralized polling overhead.
 //! Usage: `ablations [--quick | --intervals N]`.
 
-use rtmac::mac::{CentralizedEngine, DpConfig, DpEngine, MacTiming};
+use rtmac::mac::{BatchedDpEngine, CentralizedEngine, DpConfig, MacTiming};
 use rtmac::model::{LinkId, Permutation};
 use rtmac::phy::{channel::Bernoulli, PhyProfile};
 use rtmac::scenario::{self, InfluenceSpec, PolicySpec};
@@ -27,14 +27,14 @@ fn slot_width_table(intervals: usize) -> SeriesTable {
         // less than the ~20 idle slots (180 µs) that 9 µs slots cost.
         let timing = MacTiming::new(phy, Nanos::from_micros(6600), 1500);
         let budget = timing.max_transmissions() as f64;
-        let mut engine = DpEngine::new(DpConfig::new(timing), 20);
+        let mut engine = BatchedDpEngine::new(DpConfig::new(timing), 20);
         let mut channel = Bernoulli::reliable(20);
         let mut rng = SeedStream::new(1).rng(0);
         let mu = vec![0.5f64; 20];
         let mut total = 0u64;
         for _ in 0..intervals {
             total += engine
-                .run_interval(&[1; 20], &mu, &mut channel, &mut rng)
+                .step(&[1; 20], &mu, &mut channel, &mut rng)
                 .outcome
                 .total_deliveries();
         }

@@ -8,14 +8,11 @@
 //!   plots. The `fig3`..`fig10` binaries print them and write CSVs under
 //!   `bench_results/`.
 //! * [`table`] — tiny text/CSV table rendering.
-//! * [`kernel`] — interval-kernel and Runner throughput measurement behind
-//!   the `bench_kernel` binary and `bench_results/BENCH_kernel.json`.
 //!
 //! Run a full reproduction with
 //! `cargo run --release -p rtmac-bench --bin all_figures`.
 
 pub mod figures;
-pub mod kernel;
 pub mod table;
 
 /// Maps `f` over `items` on the default [`rtmac::Runner`] worker pool (one

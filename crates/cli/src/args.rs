@@ -100,8 +100,6 @@ pub struct NetworkOpts {
     pub intervals: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Which DP interval kernel executes DB-DP runs.
-    pub engine: EngineSpec,
 }
 
 impl Default for NetworkOpts {
@@ -116,7 +114,6 @@ impl Default for NetworkOpts {
             ratio: 0.9,
             intervals: 1000,
             seed: 0,
-            engine: EngineSpec::Timeline,
         }
     }
 }
@@ -168,7 +165,6 @@ impl NetworkOpts {
         sc.policy = policy;
         sc.intervals = self.intervals;
         sc.seed = self.seed;
-        sc.engine = self.engine;
         Ok(sc)
     }
 }
@@ -185,8 +181,6 @@ pub struct EmulateOpts {
     pub intervals: Option<usize>,
     /// Seed override.
     pub seed: Option<u64>,
-    /// DP interval kernel override.
-    pub engine: Option<EngineSpec>,
     /// Transport backend for the in-process (thread) mode.
     pub transport: rtmac_net::TransportKind,
     /// Launch one real `rtmac-netd` process per link instead of threads.
@@ -211,7 +205,6 @@ impl Default for EmulateOpts {
             links: None,
             intervals: None,
             seed: None,
-            engine: None,
             transport: rtmac_net::TransportKind::Loopback,
             processes: false,
             netd: None,
@@ -381,12 +374,6 @@ pub fn render_run_command(sc: &Scenario) -> Option<Vec<String>> {
         argv.push(flag.to_string());
         argv.push(value);
     }
-    // The default engine renders to nothing, keeping historical token
-    // streams byte-stable.
-    if sc.engine != EngineSpec::Timeline {
-        argv.push("--engine".to_string());
-        argv.push(sc.engine.label().to_string());
-    }
     Some(argv)
 }
 
@@ -427,7 +414,6 @@ fn parse_emulate(rest: &[String]) -> Result<Command, CliError> {
                 opts.intervals = Some(parse_num(flag, value_for()?, "an interval count")?);
             }
             "--seed" => opts.seed = Some(parse_num(flag, value_for()?, "an integer seed")?),
-            "--engine" => opts.engine = Some(parse_engine(flag, value_for()?)?),
             "--transport" => {
                 let value = value_for()?;
                 opts.transport =
@@ -508,9 +494,6 @@ fn parse_subcommand(command: &str, rest: &[String]) -> Result<Command, CliError>
             }
             "--intervals" => opts.intervals = parse_num(flag, value_for()?, "an interval count")?,
             "--seed" => opts.seed = parse_num(flag, value_for()?, "an integer seed")?,
-            "--engine" if command != "timeline" => {
-                opts.engine = parse_engine(flag, value_for()?)?;
-            }
             "--policy" if command == "run" => policy = parse_policy(flag, value_for()?)?,
             "--progress" if command == "sweep" => progress = true,
             "--param" if command == "sweep" => param = Some(parse_sweep_param(flag, value_for()?)?),
@@ -557,18 +540,6 @@ fn parse_subcommand(command: &str, rest: &[String]) -> Result<Command, CliError>
             })
         }
         _ => unreachable!("caller filters commands"),
-    }
-}
-
-fn parse_engine(flag: &str, value: &str) -> Result<EngineSpec, CliError> {
-    match value {
-        "timeline" => Ok(EngineSpec::Timeline),
-        "batched" => Ok(EngineSpec::Batched),
-        _ => Err(CliError::BadValue {
-            flag: flag.to_string(),
-            value: value.to_string(),
-            expected: "timeline or batched",
-        }),
     }
 }
 

@@ -45,10 +45,6 @@ workloads — these stay supported for custom networks):
   --ratio R          required delivery ratio (0.9)
   --intervals K      intervals to simulate (1000)
   --seed S           RNG seed (0)
-  --engine E         DP interval kernel for DB-DP runs: timeline | batched
-                     (timeline). `batched` is the massive-N kernel —
-                     bit-identical results, O(min(N, deadline/slot)) per
-                     interval.
 
 Sweep flags:
   --progress         live completed/total and items/sec on stderr while
@@ -277,7 +273,7 @@ fn render_sweep(
 }
 
 fn render_timeline(opts: &NetworkOpts) -> Result<String, CliError> {
-    use rtmac::mac::{timeline, DpConfig, DpEngine, MacTiming};
+    use rtmac::mac::{timeline, BatchedDpEngine, DpConfig, MacTiming};
     use rtmac::phy::{channel::Bernoulli, PhyProfile};
     use rtmac::sim::SeedStream;
 
@@ -286,7 +282,8 @@ fn render_timeline(opts: &NetworkOpts) -> Result<String, CliError> {
         Nanos::from_micros(opts.deadline_us),
         opts.payload,
     );
-    let mut engine = DpEngine::new(DpConfig::new(timing.clone()).with_trace(true), opts.links);
+    let mut engine =
+        BatchedDpEngine::new(DpConfig::new(timing.clone()).with_trace(true), opts.links);
     let mut channel =
         Bernoulli::new(vec![opts.p; opts.links]).map_err(|e| CliError::Invalid(e.to_string()))?;
     let mut arrivals = arrivals_box(opts.arrivals, opts.links)?;
@@ -303,7 +300,7 @@ fn render_timeline(opts: &NetworkOpts) -> Result<String, CliError> {
     let mut buf = Vec::new();
     for k in 0..opts.intervals.clamp(1, 10) {
         arrivals.sample(&mut arr_rng, &mut buf);
-        let report = engine.run_interval(&buf, &mu, &mut channel, &mut rng);
+        let report = engine.step(&buf, &mu, &mut channel, &mut rng).clone();
         let _ = writeln!(
             out,
             "interval {k}: sigma = {}  C = {:?}  swaps = {}",
@@ -391,9 +388,6 @@ fn run_emulate(opts: &EmulateOpts) -> Result<String, CliError> {
     }
     if let Some(seed) = opts.seed {
         sc = sc.with_seed(seed);
-    }
-    if let Some(engine) = opts.engine {
-        sc = sc.with_engine(engine);
     }
     let intervals = opts.intervals.unwrap_or(sc.intervals);
     let mut cfg = rtmac_net::EmulationConfig::new(sc.clone(), intervals);
@@ -484,7 +478,6 @@ mod tests {
             ratio: 0.9,
             intervals: 100,
             seed: 1,
-            engine: rtmac::scenario::EngineSpec::Timeline,
         }
     }
 

@@ -13,7 +13,7 @@
 //! * **ELDF / LDF** ([`Eldf`]) — a centralized feasibility-optimal
 //!   scheduler: serve links in decreasing `f(d_n⁺)·p_n`, where `d_n` is the
 //!   delivery debt and `f` a [debt influence function](rtmac_model::influence).
-//! * **The DP protocol** ([`rtmac_mac::DpEngine`]) — a fully decentralized
+//! * **The DP protocol** ([`rtmac_mac::BatchedDpEngine`]) — a fully decentralized
 //!   priority-maintenance protocol built from carrier sensing and
 //!   collision-free backoff alone.
 //! * **DB-DP** ([`DbDp`]) — the DP protocol with Glauber-dynamics coin

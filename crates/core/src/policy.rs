@@ -2,9 +2,8 @@
 //! debt-driven wrappers around the `rtmac-mac` engines.
 
 use rtmac_mac::{
-    BatchedDpEngine, CentralizedEngine, ChurnEvent, DcfConfig, DcfEngine, DpConfig, DpEngine,
-    FaultStats, FaultyDpEngine, FcsmaEngine, FcsmaQuantizer, FrameCsmaEngine, IntervalOutcome,
-    MacTiming,
+    BatchedDpEngine, CentralizedEngine, ChurnEvent, DcfConfig, DcfEngine, DpConfig, FaultStats,
+    FaultyDpEngine, FcsmaEngine, FcsmaQuantizer, FrameCsmaEngine, IntervalOutcome, MacTiming,
 };
 use rtmac_model::influence::{DebtInfluence, Linear, PaperLog};
 use rtmac_model::{DebtLedger, LinkId, Permutation};
@@ -194,7 +193,7 @@ impl PolicyKind {
                 r,
                 swap_pairs,
             } => Box::new(DbDp::new(
-                DpEngine::new(DpConfig::new(timing).with_swap_pairs(swap_pairs), n_links),
+                BatchedDpEngine::new(DpConfig::new(timing).with_swap_pairs(swap_pairs), n_links),
                 influence,
                 r,
                 success_probabilities.to_vec(),
@@ -215,7 +214,8 @@ impl PolicyKind {
             PolicyKind::Dcf { config } => Box::new(DcfPolicy::new(DcfEngine::new(config, timing))),
             PolicyKind::FixedPriority { sigma } => {
                 assert_eq!(sigma.len(), n_links, "fixed priority size mismatch");
-                let mut engine = DpEngine::new(DpConfig::new(timing).with_swap_pairs(0), n_links);
+                let mut engine =
+                    BatchedDpEngine::new(DpConfig::new(timing).with_swap_pairs(0), n_links);
                 engine.set_sigma(sigma);
                 Box::new(FixedPriority::new(engine))
             }
@@ -319,12 +319,10 @@ pub struct DbDp {
 }
 
 /// Which DP engine a [`DbDp`] policy drives: the pristine collision-free
-/// timeline engine (the fault-free default), the batched massive-N kernel
-/// (bit-identical to the timeline engine), or the degraded-mode engine of
-/// the fault-injection experiments.
+/// engine (the fault-free path) or the degraded-mode engine of the
+/// fault-injection experiments.
 #[derive(Debug)]
 enum DpDriver {
-    Pristine(Box<DpEngine>),
     Batched(Box<BatchedDpEngine>),
     Faulty(Box<FaultyDpEngine>),
 }
@@ -332,7 +330,6 @@ enum DpDriver {
 impl DpDriver {
     fn n_links(&self) -> usize {
         match self {
-            DpDriver::Pristine(e) => e.n_links(),
             DpDriver::Batched(e) => e.n_links(),
             DpDriver::Faulty(e) => e.n_links(),
         }
@@ -347,17 +344,7 @@ impl DbDp {
     /// Panics if `r ≤ 0` or not finite, or if `p.len()` differs from the
     /// engine's link count.
     #[must_use]
-    pub fn new(engine: DpEngine, influence: Box<dyn DebtInfluence>, r: f64, p: Vec<f64>) -> Self {
-        Self::with_driver(DpDriver::Pristine(Box::new(engine)), influence, r, p)
-    }
-
-    /// Wires the *batched* massive-N DP kernel to the same debt-driven
-    /// coin parameters. The policy name, randomness consumption, and every
-    /// reported number are identical to [`DbDp::new`] — the engines are
-    /// bit-for-bit equivalent — only the per-interval cost changes. Panics
-    /// as [`DbDp::new`].
-    #[must_use]
-    pub fn batched(
+    pub fn new(
         engine: BatchedDpEngine,
         influence: Box<dyn DebtInfluence>,
         r: f64,
@@ -388,10 +375,8 @@ impl DbDp {
         assert!(r.is_finite() && r > 0.0, "R must be positive and finite");
         assert_eq!(p.len(), driver.n_links(), "one p_n per link");
         let n = p.len();
-        // The batched kernel is bit-identical to the pristine engine, so it
-        // shares the pristine name: reports must not depend on the kernel.
         let degraded = match driver {
-            DpDriver::Pristine(_) | DpDriver::Batched(_) => "",
+            DpDriver::Batched(_) => "",
             DpDriver::Faulty(_) => ", degraded",
         };
         let name = format!("DB-DP(f={}, R={r}{degraded})", influence.name());
@@ -413,21 +398,12 @@ impl DbDp {
     }
 
     /// The underlying pristine DP engine (e.g. to inspect `σ`); `None`
-    /// when the policy runs the batched or degraded-mode engine.
+    /// when the policy runs the degraded-mode engine.
     #[must_use]
-    pub fn engine(&self) -> Option<&DpEngine> {
-        match &self.driver {
-            DpDriver::Pristine(e) => Some(e),
-            DpDriver::Batched(_) | DpDriver::Faulty(_) => None,
-        }
-    }
-
-    /// The underlying batched massive-N kernel, when selected.
-    #[must_use]
-    pub fn batched_engine(&self) -> Option<&BatchedDpEngine> {
+    pub fn engine(&self) -> Option<&BatchedDpEngine> {
         match &self.driver {
             DpDriver::Batched(e) => Some(e),
-            DpDriver::Pristine(_) | DpDriver::Faulty(_) => None,
+            DpDriver::Faulty(_) => None,
         }
     }
 
@@ -435,7 +411,7 @@ impl DbDp {
     #[must_use]
     pub fn faulty_engine(&self) -> Option<&FaultyDpEngine> {
         match &self.driver {
-            DpDriver::Pristine(_) | DpDriver::Batched(_) => None,
+            DpDriver::Batched(_) => None,
             DpDriver::Faulty(e) => Some(e),
         }
     }
@@ -462,11 +438,6 @@ impl TransmissionPolicy for DbDp {
             );
         }
         match &mut self.driver {
-            DpDriver::Pristine(engine) => {
-                engine
-                    .run_interval(arrivals, &self.mu_buf, channel, rng)
-                    .outcome
-            }
             DpDriver::Batched(engine) => engine
                 .step(arrivals, &self.mu_buf, channel, rng)
                 .outcome
@@ -481,7 +452,6 @@ impl TransmissionPolicy for DbDp {
 
     fn sigma(&self) -> Option<&Permutation> {
         match &self.driver {
-            DpDriver::Pristine(engine) => Some(engine.sigma()),
             DpDriver::Batched(engine) => Some(engine.sigma()),
             // Degraded mode: the belief multiset need not be a permutation.
             DpDriver::Faulty(_) => None,
@@ -490,7 +460,7 @@ impl TransmissionPolicy for DbDp {
 
     fn fault_stats(&self) -> Option<FaultStats> {
         match &self.driver {
-            DpDriver::Pristine(_) | DpDriver::Batched(_) => None,
+            DpDriver::Batched(_) => None,
             DpDriver::Faulty(engine) => Some(engine.stats()),
         }
     }
@@ -642,7 +612,7 @@ impl TransmissionPolicy for DcfPolicy {
 /// receives non-zero timely-throughput.
 #[derive(Debug)]
 pub struct FixedPriority {
-    engine: DpEngine,
+    engine: BatchedDpEngine,
     mu: Vec<f64>,
 }
 
@@ -653,7 +623,7 @@ impl FixedPriority {
     ///
     /// Panics if the engine still has swap pairs enabled.
     #[must_use]
-    pub fn new(engine: DpEngine) -> Self {
+    pub fn new(engine: BatchedDpEngine) -> Self {
         assert_eq!(
             engine.config().swap_pairs(),
             0,
@@ -682,8 +652,9 @@ impl TransmissionPolicy for FixedPriority {
         // μ is irrelevant with no swap pairs; 0.5 keeps the engine's
         // validation satisfied.
         self.engine
-            .run_interval(arrivals, &self.mu, channel, rng)
+            .step(arrivals, &self.mu, channel, rng)
             .outcome
+            .clone()
     }
 
     fn sigma(&self) -> Option<&Permutation> {
@@ -715,7 +686,7 @@ mod tests {
     #[test]
     fn mu_increases_with_debt_and_stays_in_unit_interval() {
         let policy = DbDp::new(
-            DpEngine::new(DpConfig::new(timing()), 2),
+            BatchedDpEngine::new(DpConfig::new(timing()), 2),
             Box::new(PaperLog::default()),
             10.0,
             vec![0.7, 0.7],
@@ -797,7 +768,7 @@ mod tests {
         // with high priority most of the time.
         let t = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_micros(340), 1500);
         let mut policy = DbDp::new(
-            DpEngine::new(DpConfig::new(t), 2),
+            BatchedDpEngine::new(DpConfig::new(t), 2),
             Box::new(PaperLog::default()),
             10.0,
             vec![1.0, 1.0],
@@ -823,7 +794,7 @@ mod tests {
     #[should_panic(expected = "R must be positive")]
     fn db_dp_rejects_nonpositive_r() {
         let _ = DbDp::new(
-            DpEngine::new(DpConfig::new(timing()), 1),
+            BatchedDpEngine::new(DpConfig::new(timing()), 1),
             Box::new(Linear),
             0.0,
             vec![1.0],

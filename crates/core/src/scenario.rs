@@ -259,28 +259,26 @@ impl PolicySpec {
     }
 }
 
-/// Which DP interval kernel executes a run.
+/// An engine label carried as plain data; no code selects behaviour by
+/// it.
 ///
-/// The two engines are bit-for-bit equivalent (pinned by the
-/// `batched_equivalence` test suite); the choice only trades
-/// per-interval complexity. Only the DB-DP policy consults this —
-/// [`crate::NetworkBuilder::build`] rejects `Batched` for every other
-/// policy and for fault-injection runs, both of which have no batched
-/// implementation.
+/// Every fault-free DP run executes [`rtmac_mac::BatchedDpEngine`]
+/// whatever this says. The type stays because a [`Scenario`]'s `Debug`
+/// form — and with it the scenario digest that deployed nodes compare —
+/// includes the field, and because scenario files written with an
+/// `engine =` key must keep parsing. `Timeline` stays the default so
+/// existing digests do not move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineSpec {
-    /// The reference timeline engine: replays every slot boundary,
-    /// `O(deadline/slot · N)` per interval.
+    /// The default label.
     #[default]
     Timeline,
-    /// The massive-N interval kernel: walks links in counter order over
-    /// flat struct-of-arrays state, `O(min(N, deadline/slot))` boundaries
-    /// per interval and zero heap allocations while stepping.
+    /// The other accepted label; runs exactly as [`EngineSpec::Timeline`].
     Batched,
 }
 
 impl EngineSpec {
-    /// The `--engine` spelling.
+    /// The scenario-file spelling.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
@@ -553,8 +551,8 @@ pub struct Scenario {
     /// Feasibility-aware admission control over churn events; `None` leaves
     /// every link admitted unconditionally.
     pub admission: Option<AdmissionSpec>,
-    /// Which DP interval kernel executes the run (DB-DP only; the two
-    /// engines produce bit-identical results).
+    /// Inert label kept for digest and file compatibility; see
+    /// [`EngineSpec`].
     pub engine: EngineSpec,
 }
 
@@ -628,7 +626,7 @@ impl Scenario {
         self
     }
 
-    /// Selects the DP interval kernel (default [`EngineSpec::Timeline`]).
+    /// Replaces the inert [`EngineSpec`] label; results do not change.
     #[must_use]
     pub fn with_engine(mut self, engine: EngineSpec) -> Self {
         self.engine = engine;
@@ -648,7 +646,6 @@ impl Scenario {
             .success_probabilities(self.success.expand(self.links))
             .delivery_ratios(self.ratio.expand(self.links))
             .policy(self.policy.kind(self.links))
-            .engine(self.engine)
             .seed(self.seed);
         if let Some(traffic) = self.traffic.instantiate(self.links) {
             b = b.traffic(traffic);

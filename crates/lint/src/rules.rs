@@ -71,14 +71,12 @@ pub enum RuleKind {
 }
 
 /// Default hot-path roots for `hot-path-alloc`: the per-interval decision
-/// paths of the scalar, batched, and faulty DP engines (Algorithm 2 runs
-/// on every link in every interval, so these must stay allocation-free).
+/// paths of the pristine and faulty DP engines (Algorithm 2 runs on every
+/// link in every interval, so these must stay allocation-free).
 pub const HOT_PATH_DEFAULT_ROOTS: &[&str] = &[
-    "DpEngine::run_interval",
-    "DpEngine::run_interval_with_candidates",
-    "DpEngine::run_interval_with_coins",
     "BatchedDpEngine::step",
     "BatchedDpEngine::step_with_candidates",
+    "BatchedDpEngine::step_with_coins",
     "FaultyDpEngine::run_interval",
     "FaultyDpEngine::run_interval_with_candidates",
 ];

@@ -1,16 +1,13 @@
-//! The batched DP interval kernel: a massive-N reformulation of
-//! [`DpEngine`](crate::DpEngine) that steps one interval in
-//! `O(min(N, deadline/slot))` work instead of `O(N × boundaries)`.
+//! The fault-free DP interval engine: Algorithm 2 in
+//! `O(min(N, deadline/slot))` work per interval.
 //!
-//! # Why the timeline engine is O(N × B)
+//! # Walking priorities instead of slots
 //!
-//! The timeline engine replays every slot boundary: at each of up to
+//! A slot-by-slot simulation replays every slot boundary: at each of up to
 //! `B ≈ deadline/slot` boundaries it decrements all `N` backoff counters
-//! and scans for links whose counter reached zero. At `N = 10 000` video
-//! links that is ~2.2 × 10⁷ counter touches per interval, even though at
-//! most `⌊deadline/airtime⌋ ≈ 61` links ever transmit.
-//!
-//! # The batched reformulation
+//! and scans for links whose counter reached zero. That is `O(N × B)` per
+//! interval — ~2.2 × 10⁷ counter touches at `N = 10 000` video links —
+//! even though at most `⌊deadline/airtime⌋ ≈ 61` links ever transmit.
 //!
 //! Eq. 6 makes the backoff counters *deterministic in the priority order*:
 //! a non-candidate with priority `s` starts at counter
@@ -33,15 +30,16 @@
 //!    (counter-at-1, i.e. boundary `initial − 1`) and the Remark-4 concede
 //!    check (boundary after a claim that did not fit) are resolved *after*
 //!    the walk as O(1) queries, guarded by the processed bound `B` (a
-//!    boundary the timeline never processed means "check never ran").
+//!    boundary the slot-by-slot run never reaches means "check never ran").
 //!
-//! The kernel consumes the RNG in exactly the timeline order — shared
-//! candidate draw, per-pair coins in candidate order, channel attempts in
-//! counter order — so [`BatchedDpEngine::step`] reproduces
-//! [`DpEngine::run_interval`](crate::DpEngine::run_interval) bit-for-bit:
-//! same [`DpIntervalReport`], same σ evolution, same RNG stream position.
-//! The equivalence is pinned by proptest + golden tests in
-//! `tests/batched_equivalence.rs`.
+//! The kernel consumes the RNG in slot order — shared candidate draw,
+//! per-pair coins in candidate order, channel attempts in counter order —
+//! so it reproduces the slot-by-slot protocol bit-for-bit: same
+//! [`DpIntervalReport`], same σ evolution, same RNG stream position.
+//! [`crate::reference::ReferenceNetwork`] is that protocol written per
+//! device; the differential tests there and in
+//! `tests/batched_equivalence.rs` pin the agreement, and golden
+//! fingerprints in the latter pin the decision trace itself.
 //!
 //! # Allocation discipline
 //!
@@ -52,15 +50,16 @@
 //! Trace mode is the documented exception: it buffers and sorts events and
 //! is meant for debugging, not the hot path.
 //!
-//! # Documented divergences from the timeline engine
+//! # Input checks
 //!
 //! * `mu` values of non-candidate links are range-checked only in debug
-//!   builds (the timeline asserts all `N` per interval, which would be the
-//!   dominant cost at `N = 10 000`). The two candidate links' values are
-//!   asserted in all builds; no RNG draw depends on the difference.
-//! * The defensive multi-transmitter collision path of the timeline
-//!   (unreachable for a correct DP construction) has no batched
-//!   counterpart; distinct counters are asserted in debug builds instead.
+//!   builds: asserting all `N` per interval would be the dominant cost at
+//!   `N = 10 000`. The two candidate links' values are asserted in all
+//!   builds; no RNG draw depends on the difference.
+//! * Eq. 6's distinct counters are asserted in all builds. A repeated
+//!   counter would be a protocol bug, and it panics instead of silently
+//!   ending the interval. Modelled collisions live in
+//!   [`crate::FaultyDpEngine`].
 
 use rand::Rng;
 use rtmac_model::{AdjacentTransposition, LinkId, Permutation};
@@ -69,7 +68,7 @@ use rtmac_phy::{Medium, SenseBoard};
 use rtmac_sim::{Nanos, SimRng};
 
 use crate::dp::{
-    draw_nonadjacent_candidates_into, DpConfig, DpIntervalReport, FrameKind, TraceEvent,
+    draw_nonadjacent_candidates_into, DpConfig, DpIntervalReport, FrameKind, PairCoins, TraceEvent,
 };
 use crate::{IntervalOutcome, MacTiming};
 
@@ -77,10 +76,9 @@ use crate::{IntervalOutcome, MacTiming};
 const UNARMED: u64 = u64::MAX;
 
 /// Flat struct-of-arrays interval state, owned by the engine so the hot
-/// loop never allocates. Replaces the timeline engine's per-link
-/// `counter`/`role`/`done` vectors: per-pair facts live in parallel arrays
-/// indexed by pair, per-link facts are derived on the fly from the
-/// priority walk.
+/// loop never allocates. There are no per-link `counter`/`role`/`done`
+/// vectors: per-pair facts live in parallel arrays indexed by pair,
+/// per-link facts are derived on the fly from the priority walk.
 #[derive(Debug, Clone, Default)]
 struct DpState {
     /// Upper priority `C` of pair `j` (sorted, pairwise non-adjacent).
@@ -112,12 +110,20 @@ struct DpState {
     /// clearing only these keeps the reset O(transmitters), not O(N).
     touched: Vec<usize>,
     /// Trace mode only: events keyed by (boundary, within-boundary seq)
-    /// for the post-walk merge into timeline order.
+    /// for the post-walk merge into slot order.
     trace_tmp: Vec<(u64, u32, TraceEvent)>,
     /// Trace mode only: start time of every processed boundary.
     boundary_times: Vec<Nanos>,
     /// Debug-postcondition scratch (σ bijection check without `vec!`).
     seen: Vec<bool>,
+}
+
+/// Where an interval's coin flips come from: drawn from `μ` (Eq. 5) or
+/// injected verbatim, one [`PairCoins`] per drawn candidate pair.
+#[derive(Clone, Copy)]
+enum CoinSource<'a> {
+    Mu(&'a [f64]),
+    Fixed(&'a [PairCoins]),
 }
 
 /// What happened at a claimant's action boundary.
@@ -178,17 +184,20 @@ impl Walk<'_> {
 
     /// Advances to boundary `counter` and lets `link` act there.
     ///
-    /// `pending_empty` mirrors the timeline's Step-2 flag: the link is a
-    /// swap candidate with no arrivals, so it claims its backoff slot with
-    /// an empty frame.
+    /// `pending_empty` is Step 2's flag: the link is a swap candidate
+    /// with no arrivals, so it claims its backoff slot with an empty frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counter` repeats or precedes an earlier claimant's: Eq. 6
+    /// makes the counters distinct, and the walk visits them in order.
     fn claim(&mut self, link: usize, counter: u64, pending_empty: bool) -> Claim {
         debug_assert!(!self.stopped, "claim after deadline stop");
-        debug_assert!(
+        assert!(
             counter >= self.next_boundary,
-            "claimants must arrive in counter order"
+            "claimants must arrive in distinct, increasing counter order"
         );
-        // Timeline loop head: a boundary where t >= deadline is never
-        // processed.
+        // A boundary where t >= deadline is never processed.
         if self.t >= self.deadline {
             self.stopped = true;
             return Claim::Stopped;
@@ -197,7 +206,7 @@ impl Walk<'_> {
         // remaining claimant, so each processed one adds exactly one idle
         // slot. `m` is how many boundaries fit before the deadline
         // (t + (m−1)·slot < deadline ≤ t + m·slot), so the stop boundary
-        // lands exactly where the timeline loop would break.
+        // lands exactly where a slot-by-slot run would stop.
         let gap = counter - self.next_boundary;
         let remaining = self.deadline - self.t;
         let m = remaining / self.slot + u64::from(!(remaining % self.slot).is_zero());
@@ -226,8 +235,8 @@ impl Walk<'_> {
         }
 
         // Transmission boundary: record the claim bit, then hold the
-        // medium back-to-back exactly like the timeline Step 6.
-        debug_assert!(
+        // medium back-to-back (Step 6).
+        assert!(
             !self.board.busy_at(counter as usize),
             "two claimants at boundary {counter}: DP counters must be distinct"
         );
@@ -304,29 +313,27 @@ impl Walk<'_> {
     }
 }
 
-/// The batched DP engine: drop-in for [`DpEngine`](crate::DpEngine) on the
-/// stepping path, bit-identical results, `O(min(N, deadline/slot))` per
-/// interval.
+/// The DP protocol engine (Algorithm 2). Persists the priority
+/// permutation `σ` across intervals; everything else is per-interval
+/// state, `O(min(N, deadline/slot))` work per interval.
 ///
 /// # Example
 ///
 /// ```
-/// use rtmac_mac::{BatchedDpEngine, DpConfig, DpEngine, MacTiming};
+/// use rtmac_mac::{BatchedDpEngine, DpConfig, MacTiming};
 /// use rtmac_phy::channel::Bernoulli;
 /// use rtmac_phy::PhyProfile;
 /// use rtmac_sim::{Nanos, SeedStream};
 ///
 /// let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_millis(2), 100);
-/// let config = DpConfig::new(timing);
-/// let mut batched = BatchedDpEngine::new(config.clone(), 4);
-/// let mut timeline = DpEngine::new(config, 4);
-/// let arrivals = [1, 1, 1, 1];
-/// let mu = [0.5; 4];
-/// let (mut ch1, mut ch2) = (Bernoulli::reliable(4), Bernoulli::reliable(4));
-/// let (mut r1, mut r2) = (SeedStream::new(7).rng(0), SeedStream::new(7).rng(0));
-/// let fast = batched.step(&arrivals, &mu, &mut ch1, &mut r1).clone();
-/// let slow = timeline.run_interval(&arrivals, &mu, &mut ch2, &mut r2);
-/// assert_eq!(fast, slow);
+/// let mut engine = BatchedDpEngine::new(DpConfig::new(timing), 4);
+/// let mut channel = Bernoulli::reliable(4);
+/// let mut rng = SeedStream::new(7).rng(0);
+/// // One packet per link, neutral coins: everything is delivered
+/// // collision-free in priority order.
+/// let report = engine.step(&[1, 1, 1, 1], &[0.5; 4], &mut channel, &mut rng);
+/// assert_eq!(report.outcome.total_deliveries(), 4);
+/// assert_eq!(report.outcome.collisions, 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BatchedDpEngine {
@@ -338,7 +345,9 @@ pub struct BatchedDpEngine {
 
 impl BatchedDpEngine {
     /// Creates an engine for `n_links` links with the identity priority
-    /// ordering, pre-sizing every buffer so stepping never allocates.
+    /// ordering. Buffers whose size varies between intervals are sized
+    /// here; the per-pair arrays grow to their fixed size on the first
+    /// step, so stepping allocates nothing after that.
     ///
     /// # Panics
     ///
@@ -346,40 +355,27 @@ impl BatchedDpEngine {
     #[must_use]
     pub fn new(config: DpConfig, n_links: usize) -> Self {
         let want = config.swap_pairs().min(n_links / 2);
-        // The claim board covers every boundary the timeline could
+        // The claim board covers every boundary an interval can
         // process: it stops at the deadline after at most
         // `deadline/slot + 1` boundaries (each advances t by ≥ one slot)
-        // and runs out of claimants after `max counter + 1 ≤ n + 2·want`
-        // boundaries.
+        // and runs out of claimants after `max counter + 1 ≤ n + 2·pairs`
+        // boundaries. An injected candidate set may hold up to `⌊n/2⌋`
+        // pairs, more than the configured draw.
         let by_deadline = (config.timing().deadline() / config.timing().slot()) as usize + 2;
-        let by_counters = n_links + 2 * want + 2;
+        let by_counters = n_links + 2 * (n_links / 2) + 2;
         let horizon = by_deadline.min(by_counters);
         let mut state = DpState {
             board: SenseBoard::new(horizon),
             ..DpState::default()
         };
-        state.pair_c.reserve(want);
-        state.pair_hi.reserve(want);
-        state.pair_lo.reserve(want);
-        state.pair_hi_counter.reserve(want);
-        state.pair_lo_counter.reserve(want);
-        state.pair_hi_wants_down.reserve(want);
-        state.pair_lo_wants_up.reserve(want);
-        state.pair_lo_transmitted.reserve(want);
-        state.pair_concede_at.reserve(want);
-        state.candidates.reserve(want);
-        if want > 1 {
-            state.draw_pool.reserve(n_links);
-        }
         state.touched.reserve(n_links.min(horizon));
-        state.seen.resize(n_links, false);
         BatchedDpEngine {
             config,
             sigma: Permutation::identity(n_links),
             state,
             report: DpIntervalReport {
                 outcome: IntervalOutcome::empty(n_links),
-                candidates: Vec::with_capacity(want),
+                candidates: Vec::new(),
                 swaps: Vec::with_capacity(want),
                 trace: Vec::new(),
             },
@@ -418,17 +414,23 @@ impl BatchedDpEngine {
         &self.config
     }
 
-    /// Runs one interval, drawing the shared candidate set internally —
-    /// the batched counterpart of
-    /// [`DpEngine::run_interval`](crate::DpEngine::run_interval). The
-    /// returned report is an engine-owned buffer, valid until the next
+    /// Runs one interval of the DP protocol (Steps 1–7 of Algorithm 2),
+    /// drawing the shared candidate set internally.
+    ///
+    /// * `arrivals[n]` — packets arriving at link `n` at the interval start.
+    /// * `mu[n]` — the coin parameter `μ_n ∈ (0, 1)` of Eq. 5. The DB-DP
+    ///   algorithm computes these from delivery debts (Eq. 14); any other
+    ///   choice yields the generic protocol of Section IV.
+    ///
+    /// The returned report is an engine-owned buffer, valid until the next
     /// step; clone it to keep it.
     ///
     /// # Panics
     ///
     /// Panics if `arrivals`, `mu`, or the channel's link count disagree
     /// with the engine's, or (candidate links always, every link in debug
-    /// builds) if some `μ_n ∉ (0, 1)`.
+    /// builds) if some `μ_n ∉ (0, 1)`. Also panics if two links ever share
+    /// a backoff counter, which Eq. 6 rules out for every valid input.
     pub fn step(
         &mut self,
         arrivals: &[u32],
@@ -436,12 +438,13 @@ impl BatchedDpEngine {
         channel: &mut dyn LossModel,
         rng: &mut SimRng,
     ) -> &DpIntervalReport {
-        self.run(arrivals, mu, None, channel, rng)
+        self.run(arrivals, CoinSource::Mu(mu), None, channel, rng)
     }
 
-    /// Runs one interval with an injected candidate set (sorted upper
-    /// priorities, pairwise non-adjacent) — the batched counterpart of
-    /// [`DpEngine::run_interval_with_candidates`](crate::DpEngine::run_interval_with_candidates).
+    /// Runs one interval with an explicitly chosen candidate set — the
+    /// "common random seed" of Step 1 made external, so tests and
+    /// multi-node deployments can inject the shared draw. `candidates`
+    /// must be sorted upper priorities `C ∈ 1..N`, pairwise non-adjacent.
     ///
     /// # Panics
     ///
@@ -455,7 +458,40 @@ impl BatchedDpEngine {
         channel: &mut dyn LossModel,
         rng: &mut SimRng,
     ) -> &DpIntervalReport {
-        self.run(arrivals, mu, Some(candidates), channel, rng)
+        self.run(arrivals, CoinSource::Mu(mu), Some(candidates), channel, rng)
+    }
+
+    /// Runs one interval with both the candidate draw *and* the private
+    /// coin flips injected — every random protocol decision except the
+    /// channel made explicit. `coins[j]` gives the ξ outcomes of pair
+    /// `candidates[j]`; `rng` is only consumed by the channel model.
+    /// This is the model checker's entry point: it enumerates all
+    /// `(candidates, coins, channel)` combinations exhaustively.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`BatchedDpEngine::step_with_candidates`], plus a panic if
+    /// `coins` and `candidates` disagree in length.
+    pub fn step_with_coins(
+        &mut self,
+        arrivals: &[u32],
+        candidates: &[usize],
+        coins: &[PairCoins],
+        channel: &mut dyn LossModel,
+        rng: &mut SimRng,
+    ) -> &DpIntervalReport {
+        assert_eq!(
+            coins.len(),
+            candidates.len(),
+            "one PairCoins per candidate pair"
+        );
+        self.run(
+            arrivals,
+            CoinSource::Fixed(coins),
+            Some(candidates),
+            channel,
+            rng,
+        )
     }
 
     /// The shared interval body.
@@ -464,7 +500,7 @@ impl BatchedDpEngine {
     fn run(
         &mut self,
         arrivals: &[u32],
-        mu: &[f64],
+        coins: CoinSource<'_>,
         inject: Option<&[usize]>,
         channel: &mut dyn LossModel,
         rng: &mut SimRng,
@@ -472,10 +508,12 @@ impl BatchedDpEngine {
         let n = self.sigma.len();
         assert_eq!(arrivals.len(), n, "arrivals must have one entry per link");
         assert_eq!(channel.n_links(), n, "channel link count mismatch");
-        assert_eq!(mu.len(), n, "mu must have one entry per link");
-        #[cfg(debug_assertions)]
-        for (i, &m) in mu.iter().enumerate() {
-            debug_assert!(m > 0.0 && m < 1.0, "mu[{i}] = {m} must lie in (0, 1)");
+        if let CoinSource::Mu(mu) = coins {
+            assert_eq!(mu.len(), n, "mu must have one entry per link");
+            #[cfg(debug_assertions)]
+            for (i, &m) in mu.iter().enumerate() {
+                debug_assert!(m > 0.0 && m < 1.0, "mu[{i}] = {m} must lie in (0, 1)");
+            }
         }
 
         let Self {
@@ -546,8 +584,8 @@ impl BatchedDpEngine {
         report.candidates.extend_from_slice(candidates);
 
         // ------------------ Steps 2–4: coins and counters, per pair.
-        // Coins are drawn in candidate order, hi before lo — the exact
-        // timeline RNG sequence.
+        // Coins are drawn in candidate order, hi before lo (Eq. 5),
+        // unless injected verbatim.
         pair_c.clear();
         pair_hi.clear();
         pair_lo.clear();
@@ -560,12 +598,16 @@ impl BatchedDpEngine {
         for (j, &c) in candidates.iter().enumerate() {
             let hi = sigma.link_with_priority(c).index();
             let lo = sigma.link_with_priority(c + 1).index();
-            for link in [hi, lo] {
-                let m = mu[link];
-                assert!(m > 0.0 && m < 1.0, "mu[{link}] = {m} must lie in (0, 1)");
-            }
-            let xi_hi_up = rng.random_bool(mu[hi]);
-            let xi_lo_up = rng.random_bool(mu[lo]);
+            let (xi_hi_up, xi_lo_up) = match coins {
+                CoinSource::Mu(mu) => {
+                    for link in [hi, lo] {
+                        let m = mu[link];
+                        assert!(m > 0.0 && m < 1.0, "mu[{link}] = {m} must lie in (0, 1)");
+                    }
+                    (rng.random_bool(mu[hi]), rng.random_bool(mu[lo]))
+                }
+                CoinSource::Fixed(flips) => (flips[j].hi_up, flips[j].lo_up),
+            };
             let hi_wants_down = !xi_hi_up;
             let lo_wants_up = xi_lo_up;
             let off = 2 * j as u64;
@@ -592,9 +634,9 @@ impl BatchedDpEngine {
         }
         let n_pairs = pair_c.len();
 
-        // Trace mode: the timeline emits every link's BackoffSet in link
-        // order before the loop. O(N · pairs) here is fine — trace mode is
-        // explicitly off the hot path.
+        // Trace mode: every link's BackoffSet comes first, in link order.
+        // O(N · pairs) here is fine — trace mode is explicitly off the hot
+        // path.
         if tracing {
             for link in 0..n {
                 let sigma_n = sigma.priority_of(LinkId::new(link));
@@ -694,7 +736,7 @@ impl BatchedDpEngine {
                 p += 1;
             }
         }
-        // The first boundary the timeline would *not* process: either the
+        // The first boundary the interval does *not* process: either the
         // deadline-stop boundary or `max counter + 1` once every claimant
         // acted. Sense checks at boundaries ≥ b_end never ran.
         let b_end = walk.next_boundary;
@@ -779,18 +821,21 @@ impl BatchedDpEngine {
         }
 
         // Trace mode: merge the out-of-order sense checks back into the
-        // timeline's per-boundary emission order. Keys are unique (sense
+        // per-boundary emission order of a slot-by-slot run. Keys are unique (sense
         // boundaries are pairwise distinct; tx events use seq ≥ 1).
         if tracing {
             trace_tmp.sort_unstable_by_key(|&(b, s, _)| (b, s));
             report.trace.extend(trace_tmp.iter().map(|&(_, _, e)| e));
         }
 
-        // Interval postconditions, mirroring the timeline's (debug only,
-        // using engine-owned scratch instead of a fresh `vec!`).
+        // Interval postconditions: σ(k+1) is still a bijection of 1..=N,
+        // and the committed swaps are a strictly increasing subset of the
+        // drawn candidates (debug only, using engine-owned scratch instead
+        // of a fresh `vec!`).
         #[cfg(debug_assertions)]
         {
-            seen.fill(false);
+            seen.clear();
+            seen.resize(n, false);
             for &p in sigma.priorities() {
                 debug_assert!(
                     p >= 1 && p <= n && !seen[p - 1],
@@ -830,8 +875,8 @@ impl BatchedDpEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DpConfig, DpEngine};
-    use rtmac_phy::channel::Bernoulli;
+    use proptest::prelude::*;
+    use rtmac_phy::channel::{Bernoulli, Scripted};
     use rtmac_phy::PhyProfile;
     use rtmac_sim::SeedStream;
 
@@ -839,66 +884,370 @@ mod tests {
         MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_millis(ms), payload)
     }
 
-    /// Drives both engines over `intervals` with identical inputs and
-    /// asserts bit-identical reports and σ trajectories.
-    fn assert_equivalent(config: DpConfig, n: usize, seed: u64, intervals: usize) {
-        let mut fast = BatchedDpEngine::new(config.clone(), n);
-        let mut slow = DpEngine::new(config, n);
-        let mut ch_fast = Bernoulli::new(vec![0.8; n]).unwrap();
-        let mut ch_slow = Bernoulli::new(vec![0.8; n]).unwrap();
-        let seeds = SeedStream::new(seed);
-        let mut rng_fast = seeds.rng(0);
-        let mut rng_slow = seeds.rng(0);
-        let mut arrival_rng = seeds.rng(1);
-        let mut arrivals = vec![0u32; n];
-        let mu = vec![0.5; n];
-        for k in 0..intervals {
-            for a in arrivals.iter_mut() {
-                *a = arrival_rng.random_range(0..4);
-            }
-            let fast_report = fast
-                .step(&arrivals, &mu, &mut ch_fast, &mut rng_fast)
-                .clone();
-            let slow_report = slow.run_interval(&arrivals, &mu, &mut ch_slow, &mut rng_slow);
-            assert_eq!(fast_report, slow_report, "interval {k} diverged");
-            assert_eq!(fast.sigma(), slow.sigma(), "sigma diverged at interval {k}");
+    fn engine(n: usize) -> BatchedDpEngine {
+        BatchedDpEngine::new(DpConfig::new(timing_ms(20, 1500)), n)
+    }
+
+    #[test]
+    fn reliable_network_delivers_everything_when_capacity_allows() {
+        let mut e = engine(4);
+        let mut ch = Bernoulli::reliable(4);
+        let mut rng = SeedStream::new(1).rng(0);
+        let report = e.step(&[3, 2, 1, 4], &[0.5; 4], &mut ch, &mut rng);
+        assert_eq!(report.outcome.deliveries, [3, 2, 1, 4]);
+        assert_eq!(report.outcome.total_attempts(), 10);
+        assert_eq!(report.outcome.collisions, 0);
+    }
+
+    #[test]
+    fn is_collision_free_across_many_random_intervals() {
+        let mut e = engine(10);
+        let mut ch = Bernoulli::new(vec![0.7; 10]).unwrap();
+        let mut rng = SeedStream::new(2).rng(0);
+        for k in 0..200 {
+            let arrivals: Vec<u32> = (0..10).map(|i| ((k + i) % 4) as u32).collect();
+            let report = e.step(&arrivals, &[0.3; 10], &mut ch, &mut rng);
+            assert_eq!(report.outcome.collisions, 0, "collision at interval {k}");
         }
     }
 
     #[test]
-    fn matches_timeline_on_default_config() {
-        assert_equivalent(DpConfig::new(timing_ms(2, 100)), 6, 2018, 40);
-    }
-
-    #[test]
-    fn matches_timeline_with_trace_and_multi_pair() {
-        let config = DpConfig::new(timing_ms(2, 100))
-            .with_swap_pairs(3)
-            .with_trace(true);
-        assert_equivalent(config, 10, 2018, 40);
-    }
-
-    #[test]
-    fn matches_timeline_under_deadline_pressure() {
-        // 200 µs deadline: data frames never fit, only empty claims do —
-        // the Remark-4 concede path fires regularly.
-        let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_micros(200), 1500);
-        assert_equivalent(DpConfig::new(timing).with_trace(true), 4, 7, 60);
-    }
-
-    #[test]
-    fn single_link_runs() {
-        let mut e = BatchedDpEngine::new(DpConfig::new(timing_ms(20, 1500)), 1);
-        let mut ch = Bernoulli::reliable(1);
+    fn priority_determines_service_order() {
+        // Overload the interval so only the highest-priority links get
+        // through: N links each with a full buffer.
+        let timing = timing_ms(2, 100); // 16 transmissions fit
+        let mut e = BatchedDpEngine::new(DpConfig::new(timing).with_swap_pairs(0), 4);
+        let mut ch = Bernoulli::reliable(4);
         let mut rng = SeedStream::new(3).rng(0);
-        let report = e.step(&[5], &[0.5], &mut ch, &mut rng);
-        assert_eq!(report.outcome.deliveries, [5]);
-        assert!(report.candidates.is_empty());
+        // Reverse priorities: link 3 is highest.
+        e.set_sigma(Permutation::from_priorities(vec![4, 3, 2, 1]).unwrap());
+        let report = e.step(&[10, 10, 10, 10], &[0.5; 4], &mut ch, &mut rng);
+        // 16 slots: link3 gets 10, link2 gets 6 (minus backoff overhead,
+        // possibly 5), links 1 and 0 get nothing.
+        assert_eq!(report.outcome.deliveries[3], 10);
+        assert!(report.outcome.deliveries[2] >= 4);
+        assert_eq!(report.outcome.deliveries[0], 0);
+        assert!(report.swaps.is_empty());
+    }
+
+    #[test]
+    fn swap_pairs_zero_never_reorders() {
+        let mut e = BatchedDpEngine::new(DpConfig::new(timing_ms(20, 1500)).with_swap_pairs(0), 6);
+        let before = e.sigma().clone();
+        let mut ch = Bernoulli::reliable(6);
+        let mut rng = SeedStream::new(4).rng(0);
+        for _ in 0..50 {
+            let r = e.step(&[1; 6], &[0.5; 6], &mut ch, &mut rng);
+            assert!(r.candidates.is_empty());
+            assert!(r.swaps.is_empty());
+        }
+        assert_eq!(e.sigma(), &before);
+    }
+
+    #[test]
+    fn forced_swap_exchanges_the_candidate_pair() {
+        // μ near 1 for the lower candidate and near 0 for the upper one
+        // makes ξ_lo = +1 and ξ_hi = −1 almost surely, so candidates swap
+        // whenever drawn. With N = 2 the pair is always (1, 2).
+        let mut e = engine(2);
+        let mut ch = Bernoulli::reliable(2);
+        let mut rng = SeedStream::new(5).rng(0);
+        // link0 has priority 1 (upper candidate): wants down with 1−μ0.
+        let mu = [1e-9, 1.0 - 1e-9];
+        let r = e.step(&[1, 1], &mu, &mut ch, &mut rng);
+        assert_eq!(r.candidates, [1]);
+        assert_eq!(r.swaps, [AdjacentTransposition::new(1)]);
+        assert_eq!(e.sigma().priorities(), [2, 1]);
+    }
+
+    #[test]
+    fn refused_swap_keeps_priorities() {
+        // μ flipped: upper wants to stay up, lower wants to stay down.
+        let mut e = engine(2);
+        let mut ch = Bernoulli::reliable(2);
+        let mut rng = SeedStream::new(6).rng(0);
+        let mu = [1.0 - 1e-9, 1e-9];
+        let r = e.step(&[1, 1], &mu, &mut ch, &mut rng);
+        assert!(r.swaps.is_empty());
+        assert_eq!(e.sigma().priorities(), [1, 2]);
+    }
+
+    #[test]
+    fn empty_packets_claim_priority_without_arrivals() {
+        // No arrivals anywhere: only the two candidates transmit empty
+        // packets, and no data attempts occur.
+        let mut e = engine(3);
+        let mut ch = Bernoulli::reliable(3);
+        let mut rng = SeedStream::new(7).rng(0);
+        let mu = [1e-9, 1e-9, 1.0 - 1e-9];
+        let r = e.step(&[0, 0, 0], &mu, &mut ch, &mut rng);
+        assert_eq!(r.outcome.total_attempts(), 0);
+        assert_eq!(r.outcome.total_deliveries(), 0);
+        assert_eq!(r.outcome.empty_packets, 2);
+    }
+
+    #[test]
+    fn no_swap_when_interval_too_short_for_any_frame() {
+        // Deadline shorter than even an empty frame: nothing can transmit,
+        // so the handshake cannot complete (the R_i + R_j >= 1 term of
+        // Eq. 9) and priorities stay.
+        let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_micros(40), 1500);
+        let mut e = BatchedDpEngine::new(DpConfig::new(timing), 2);
+        let mut ch = Bernoulli::reliable(2);
+        let mut rng = SeedStream::new(8).rng(0);
+        let mu = [1e-9, 1.0 - 1e-9]; // would swap if they could transmit
+        for _ in 0..20 {
+            let r = e.step(&[0, 0], &mu, &mut ch, &mut rng);
+            assert!(r.swaps.is_empty());
+            assert_eq!(r.outcome.empty_packets, 0);
+        }
+        assert_eq!(e.sigma().priorities(), [1, 2]);
+    }
+
+    #[test]
+    fn unreliable_channel_retries_until_deadline() {
+        // One link, p = 0.5: attempts keep going until the buffer drains or
+        // the interval ends; attempts >= deliveries.
+        let mut e = BatchedDpEngine::new(DpConfig::new(timing_ms(2, 100)), 1);
+        let mut ch = Bernoulli::new(vec![0.5]).unwrap();
+        let mut rng = SeedStream::new(9).rng(0);
+        let r = e.step(&[8], &[0.5], &mut ch, &mut rng);
+        assert!(r.outcome.attempts[0] >= r.outcome.deliveries[0]);
+        assert!(r.outcome.attempts[0] <= 16);
+        assert!(r.outcome.deliveries[0] <= 8);
+    }
+
+    #[test]
+    fn backoff_overhead_costs_at_most_a_couple_transmissions() {
+        // The paper: DB-DP has "1 or 2 fewer transmissions per interval"
+        // than the 60 of LDF in the video setting.
+        let mut e = engine(20);
+        let mut ch = Bernoulli::reliable(20);
+        let mut rng = SeedStream::new(10).rng(0);
+        // Saturate: plenty of packets everywhere.
+        let r = e.step(&[6; 20], &[0.5; 20], &mut ch, &mut rng);
+        let total = r.outcome.total_deliveries();
+        assert!(
+            (58..=61).contains(&total),
+            "expected ~59-61 deliveries, got {total}"
+        );
+    }
+
+    #[test]
+    fn multi_pair_draws_disjoint_pairs_and_swaps_consistently() {
+        let mut e = BatchedDpEngine::new(DpConfig::new(timing_ms(20, 1500)).with_swap_pairs(3), 10);
+        let mut ch = Bernoulli::reliable(10);
+        let mut rng = SeedStream::new(11).rng(0);
+        for _ in 0..100 {
+            let r = e.step(&[1; 10], &[0.5; 10], &mut ch, &mut rng);
+            assert_eq!(r.candidates.len(), 3);
+            assert!(r.candidates.windows(2).all(|w| w[1] - w[0] >= 2));
+            assert_eq!(r.outcome.collisions, 0);
+            // σ must remain a valid permutation.
+            assert!(Permutation::from_priorities(e.sigma().priorities().to_vec()).is_ok());
+        }
+    }
+
+    /// Reproduces Example 2 / Fig. 2 of the paper exactly: N = 4 links,
+    /// p_n = 1, one packet each, σ(1) = [1,2,3,4], candidates C = 2. With
+    /// ξ_2 = −1 (β_2 = 3) and ξ_3 = +1 (β_3 = 2), links 2 and 3 exchange
+    /// priorities and σ(2) = [1,3,2,4]. The trace pins the whole timeline.
+    #[test]
+    fn paper_example_2_timeline() {
+        let slot = Nanos::from_micros(9);
+        let airtime = PhyProfile::ieee80211a().packet_exchange_airtime(1500); // 326 µs
+        let timing = timing_ms(20, 1500);
+        let mut e = BatchedDpEngine::new(DpConfig::new(timing).with_trace(true), 4);
+        let mut ch = Bernoulli::reliable(4);
+        let mut rng = SeedStream::new(0).rng(0);
+        // Paper's link 2 = our link index 1 (wants down: μ ≈ 0);
+        // paper's link 3 = our link index 2 (wants up: μ ≈ 1).
+        let mu = [0.5, 1e-12, 1.0 - 1e-12, 0.5];
+        let report = e
+            .step_with_candidates(&[1; 4], &mu, &[2], &mut ch, &mut rng)
+            .clone();
+
+        // Backoffs per Eq. 6 / Fig. 2: β = [0, 3, 2, 5].
+        let backoffs: Vec<(usize, u64)> = report
+            .trace
+            .iter()
+            .filter_map(|ev| match ev {
+                TraceEvent::BackoffSet { link, counter } => Some((link.index(), *counter)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(backoffs, [(0, 0), (1, 3), (2, 2), (3, 5)]);
+
+        // Transmission order and exact start times:
+        //   link 0 at t = 0,
+        //   link 2 at A + 2 slots (its counter 2 drains in two idle slots),
+        //   link 1 at 2A + 3 slots (frozen at 1 during link 2's frame),
+        //   link 3 at 3A + 5 slots (β = 5, one decrement after each of the
+        //   three frames plus two trailing idle slots).
+        let starts: Vec<(usize, Nanos)> = report
+            .trace
+            .iter()
+            .filter_map(|ev| match ev {
+                TraceEvent::TxStart { link, at, kind } => {
+                    assert_eq!(*kind, FrameKind::Data);
+                    Some((link.index(), *at))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            starts,
+            [
+                (0, Nanos::ZERO),
+                (2, airtime + slot * 2),
+                (1, airtime * 2 + slot * 3),
+                (3, airtime * 3 + slot * 5),
+            ]
+        );
+
+        // Both candidates sensed at counter 1: lo heard idle, hi heard busy.
+        let checks: Vec<(usize, bool)> = report
+            .trace
+            .iter()
+            .filter_map(|ev| match ev {
+                TraceEvent::SenseCheck { link, busy, .. } => Some((link.index(), *busy)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(checks, [(2, false), (1, true)]);
+
+        // The swap committed: σ(2) = [1,3,2,4].
+        assert_eq!(report.swaps, [AdjacentTransposition::new(2)]);
+        assert!(report
+            .trace
+            .contains(&TraceEvent::SwapCommitted { upper: 2 }));
+        assert_eq!(e.sigma().priorities(), [1, 3, 2, 4]);
+        assert_eq!(report.outcome.deliveries, [1, 1, 1, 1]);
+    }
+
+    /// All four ξ combinations of a single pair, pinned deterministically:
+    /// the swap commits iff (hi wants down) AND (lo wants up), matching
+    /// Eq. 9's (1−μ_i)·μ_j structure.
+    #[test]
+    fn handshake_truth_table() {
+        for (hi_up, lo_up, expect_swap) in [
+            (true, true, false),   // hi stays, lo wants up -> blocked
+            (true, false, false),  // both stay
+            (false, true, true),   // hi down, lo up -> swap
+            (false, false, false), // hi wants down, lo stays
+        ] {
+            let mut e = engine(2);
+            let mut ch = Bernoulli::reliable(2);
+            let mut rng = SeedStream::new(9).rng(0);
+            let eps = 1e-12;
+            let mu = [
+                if hi_up { 1.0 - eps } else { eps },
+                if lo_up { 1.0 - eps } else { eps },
+            ];
+            let r = e.step_with_candidates(&[1, 1], &mu, &[1], &mut ch, &mut rng);
+            assert_eq!(
+                !r.swaps.is_empty(),
+                expect_swap,
+                "hi_up={hi_up} lo_up={lo_up}"
+            );
+            let expected = if expect_swap { [2, 1] } else { [1, 2] };
+            assert_eq!(e.sigma().priorities(), expected);
+        }
+    }
+
+    /// The deadline corner case the paper leaves unspecified: hi chose to
+    /// stay (ξ = +1) but its data frame no longer fits, while lo's shorter
+    /// empty claim does. lo senses idle at counter 1 and infers "hi wants
+    /// down"; the concede rule makes hi agree, keeping σ consistent.
+    #[test]
+    fn concede_path_keeps_sigma_consistent() {
+        // N = 2, C = 1: hi = link0 (priority 1, ξ = +1 -> β = 0),
+        // lo = link1 (priority 2, ξ = +1 -> β = 1).
+        // Deadline: one empty frame (62 µs) fits after one slot, but a
+        // data frame (326 µs) does not fit at t = 0.
+        let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_micros(200), 1500);
+        let mut e = BatchedDpEngine::new(DpConfig::new(timing).with_trace(true), 2);
+        let mut ch = Bernoulli::reliable(2);
+        let mut rng = SeedStream::new(3).rng(0);
+        let eps = 1e-12;
+        // hi has a data packet (doesn't fit); lo has no arrival -> empty
+        // claim frame (fits).
+        let mu = [1.0 - eps, 1.0 - eps];
+        let r = e.step_with_candidates(&[1, 0], &mu, &[1], &mut ch, &mut rng);
+        // lo transmitted its empty claim; hi conceded; both swapped.
+        assert_eq!(r.outcome.empty_packets, 1);
+        assert_eq!(r.outcome.attempts, [0, 0], "hi's data frame never fit");
+        assert_eq!(r.swaps, [AdjacentTransposition::new(1)]);
+        assert_eq!(e.sigma().priorities(), [2, 1]);
+    }
+
+    /// Same corner but lo's frame does not fit either: nothing transmits,
+    /// nobody concedes, σ unchanged.
+    #[test]
+    fn concede_requires_lo_transmission() {
+        let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_micros(60), 1500);
+        let mut e = BatchedDpEngine::new(DpConfig::new(timing), 2);
+        let mut ch = Bernoulli::reliable(2);
+        let mut rng = SeedStream::new(4).rng(0);
+        let eps = 1e-12;
+        let mu = [1.0 - eps, 1.0 - eps];
+        // Both have data frames (326 µs) that can never fit in 60 µs; lo's
+        // would-be empty frame is not generated because it has an arrival.
+        let r = e.step_with_candidates(&[1, 1], &mu, &[1], &mut ch, &mut rng);
+        assert!(r.swaps.is_empty());
+        assert_eq!(r.outcome.total_deliveries(), 0);
+        assert_eq!(e.sigma().priorities(), [1, 2]);
+    }
+
+    #[test]
+    fn trace_is_empty_when_disabled() {
+        let mut e = engine(3);
+        let mut ch = Bernoulli::reliable(3);
+        let mut rng = SeedStream::new(1).rng(0);
+        let report = e.step(&[1; 3], &[0.5; 3], &mut ch, &mut rng);
+        assert!(report.trace.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "non-adjacent")]
+    fn adjacent_candidate_set_rejected() {
+        let mut e = engine(6);
+        let mut ch = Bernoulli::reliable(6);
+        let mut rng = SeedStream::new(1).rng(0);
+        let _ = e.step_with_candidates(&[1; 6], &[0.5; 6], &[2, 3], &mut ch, &mut rng);
+    }
+
+    /// Mixed payloads on one medium: a 100 B control link squeezes its
+    /// frame into tail time a 1500 B video frame cannot use.
+    #[test]
+    fn heterogeneous_payloads_share_the_interval() {
+        // Deadline fits one 326 µs video frame plus one 118 µs control
+        // frame (444 µs + slots), but not two video frames.
+        let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_micros(500), 1500)
+            .with_link_payloads(&[1500, 100]);
+        let mut e = BatchedDpEngine::new(DpConfig::new(timing).with_swap_pairs(0), 2);
+        let mut ch = Bernoulli::reliable(2);
+        let mut rng = SeedStream::new(1).rng(0);
+        let r = e.step(&[2, 2], &[0.5, 0.5], &mut ch, &mut rng);
+        // Video link (priority 1) sends one frame; its second doesn't fit.
+        assert_eq!(r.outcome.deliveries[0], 1);
+        // Control link still delivers one 118 µs frame in the remainder.
+        assert_eq!(r.outcome.deliveries[1], 1);
+    }
+
+    #[test]
+    fn single_link_network_just_transmits() {
+        let mut e = BatchedDpEngine::new(DpConfig::new(timing_ms(2, 100)), 1);
+        let mut ch = Bernoulli::reliable(1);
+        let mut rng = SeedStream::new(12).rng(0);
+        let r = e.step(&[5], &[0.5], &mut ch, &mut rng);
+        assert_eq!(r.outcome.deliveries, [5]);
+        assert!(r.candidates.is_empty());
     }
 
     #[test]
     fn report_buffer_resets_between_intervals() {
-        let mut e = BatchedDpEngine::new(DpConfig::new(timing_ms(20, 1500)), 3);
+        let mut e = engine(3);
         let mut ch = Bernoulli::reliable(3);
         let mut rng = SeedStream::new(4).rng(0);
         let first = e.step(&[2, 0, 1], &[0.5; 3], &mut ch, &mut rng).clone();
@@ -911,10 +1260,142 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "must lie in (0, 1)")]
+    fn mu_out_of_range_panics() {
+        let mut e = engine(2);
+        let mut ch = Bernoulli::reliable(2);
+        let mut rng = SeedStream::new(0).rng(0);
+        let _ = e.step(&[1, 1], &[0.0, 0.5], &mut ch, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "must lie in (0, 1)")]
     fn candidate_mu_out_of_range_panics() {
         let mut e = BatchedDpEngine::new(DpConfig::new(timing_ms(2, 100)), 2);
         let mut ch = Bernoulli::reliable(2);
         let mut rng = SeedStream::new(5).rng(0);
         e.step_with_candidates(&[1, 1], &[1.5, 0.5], &[1], &mut ch, &mut rng);
+    }
+
+    /// Injected coins are exactly the coins extreme μ draws: on a scripted
+    /// channel (which ignores the RNG) `step_with_coins` and
+    /// `step_with_candidates` with ε / 1−ε μ give equal reports and σ.
+    #[test]
+    fn step_with_coins_matches_extreme_mu() {
+        let n = 7;
+        let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_micros(1500), 300);
+        let config = DpConfig::new(timing).with_swap_pairs(3).with_trace(true);
+        let mut by_coins = BatchedDpEngine::new(config.clone(), n);
+        let mut by_mu = BatchedDpEngine::new(config, n);
+        let mut meta = SeedStream::new(21).rng(0);
+        let mut rng_a = SeedStream::new(22).rng(0);
+        let mut rng_b = SeedStream::new(22).rng(0);
+        let eps = 1e-12;
+        for k in 0..60 {
+            let arrivals: Vec<u32> = (0..n).map(|_| meta.random_range(0..3)).collect();
+            let candidates = crate::draw_nonadjacent_candidates(n, 3, &mut meta);
+            let coins: Vec<PairCoins> = candidates
+                .iter()
+                .map(|_| PairCoins {
+                    hi_up: meta.random_bool(0.5),
+                    lo_up: meta.random_bool(0.5),
+                })
+                .collect();
+            let mut mu = vec![0.5; n];
+            for (&c, coin) in candidates.iter().zip(&coins) {
+                let hi = by_mu.sigma().link_with_priority(c).index();
+                let lo = by_mu.sigma().link_with_priority(c + 1).index();
+                mu[hi] = if coin.hi_up { 1.0 - eps } else { eps };
+                mu[lo] = if coin.lo_up { 1.0 - eps } else { eps };
+            }
+            let script: Vec<Vec<bool>> = (0..n)
+                .map(|_| (0..16).map(|_| meta.random_bool(0.7)).collect())
+                .collect();
+            let mut ch_a = Scripted::new(script.clone()).unwrap();
+            let mut ch_b = Scripted::new(script).unwrap();
+            let a = by_coins
+                .step_with_coins(&arrivals, &candidates, &coins, &mut ch_a, &mut rng_a)
+                .clone();
+            let b = by_mu.step_with_candidates(&arrivals, &mu, &candidates, &mut ch_b, &mut rng_b);
+            assert_eq!(&a, b, "interval {k} diverged");
+            assert_eq!(by_coins.sigma(), by_mu.sigma(), "σ diverged at {k}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one PairCoins per candidate pair")]
+    fn step_with_coins_rejects_a_length_mismatch() {
+        let mut e = engine(4);
+        let mut ch = Bernoulli::reliable(4);
+        let mut rng = SeedStream::new(0).rng(0);
+        let coins = [PairCoins {
+            hi_up: true,
+            lo_up: true,
+        }];
+        let _ = e.step_with_coins(&[1; 4], &[1, 3], &coins, &mut ch, &mut rng);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Core protocol invariants over random workloads: never a
+        /// collision, σ stays a valid permutation, per-link deliveries never
+        /// exceed arrivals, and the swap handshake never diverges (the
+        /// debug assertions inside `step` enforce agreement).
+        #[test]
+        fn prop_dp_invariants(
+            n in 2usize..8,
+            seed in 0u64..500,
+            intervals in 1usize..30,
+            pairs in 0usize..3,
+        ) {
+            let timing = MacTiming::new(
+                PhyProfile::ieee80211a(),
+                Nanos::from_millis(5),
+                300,
+            );
+            let mut e = BatchedDpEngine::new(DpConfig::new(timing).with_swap_pairs(pairs), n);
+            let seeds = SeedStream::new(seed);
+            let mut rng = seeds.rng(0);
+            let mut arr_rng = seeds.rng(1);
+            let mut ch = Bernoulli::new(vec![0.6; n]).unwrap();
+            for _ in 0..intervals {
+                let arrivals: Vec<u32> =
+                    (0..n).map(|_| arr_rng.random_range(0..4)).collect();
+                let mu: Vec<f64> = (0..n).map(|_| arr_rng.random_range(0.05..0.95)).collect();
+                let r = e.step(&arrivals, &mu, &mut ch, &mut rng).clone();
+                prop_assert_eq!(r.outcome.collisions, 0);
+                for (link, &d) in r.outcome.deliveries.iter().enumerate() {
+                    prop_assert!(
+                        d <= u64::from(arrivals[link]),
+                        "link {} delivered {} of {}", link, d, arrivals[link]
+                    );
+                }
+                prop_assert!(
+                    Permutation::from_priorities(e.sigma().priorities().to_vec()).is_ok()
+                );
+                // Every committed swap corresponds to exactly one drawn
+                // candidate pair: at most |C(k)| swaps, each at a drawn
+                // upper priority, and no upper priority swaps twice.
+                prop_assert!(r.swaps.len() <= r.candidates.len());
+                for (i, t) in r.swaps.iter().enumerate() {
+                    prop_assert!(
+                        r.candidates.contains(&t.upper()),
+                        "swap at {} not among drawn candidates {:?}",
+                        t.upper(),
+                        r.candidates
+                    );
+                    if i > 0 {
+                        prop_assert!(r.swaps[i - 1].upper() < t.upper());
+                    }
+                }
+                if pairs <= 1 {
+                    // The paper's configuration: at most one adjacent pair
+                    // exchanges priorities per interval.
+                    prop_assert!(r.swaps.len() <= 1);
+                }
+                // Busy time can never exceed the interval.
+                prop_assert!(r.outcome.busy_time <= Nanos::from_millis(5));
+            }
+        }
     }
 }

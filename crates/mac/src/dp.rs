@@ -10,17 +10,20 @@
 //! other's intention purely by carrier sensing at the instant their backoff
 //! counter reaches 1 (Eqs. 7–8); a confirmed handshake exchanges their
 //! priorities for the next interval.
+//!
+//! This module holds the protocol's shared types and the candidate
+//! sampler. [`crate::BatchedDpEngine`] executes the fault-free interval;
+//! [`crate::FaultyDpEngine`] executes it over corrupted local state.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use rtmac_model::{AdjacentTransposition, LinkId, Permutation};
-use rtmac_phy::channel::LossModel;
-use rtmac_phy::Medium;
+use rtmac_model::{AdjacentTransposition, LinkId};
 use rtmac_sim::{Nanos, SimRng};
 
 use crate::{IntervalOutcome, MacTiming};
 
-/// Configuration of a [`DpEngine`].
+/// Configuration of a DP engine ([`crate::BatchedDpEngine`] or
+/// [`crate::FaultyDpEngine`]).
 #[derive(Debug, Clone)]
 pub struct DpConfig {
     timing: MacTiming,
@@ -76,8 +79,8 @@ impl DpConfig {
 }
 
 /// Explicit coin outcomes for one drawn candidate pair — Eq. 5 made
-/// external, the way [`DpEngine::run_interval_with_candidates`] already
-/// externalizes the shared candidate draw. Used by the bounded model
+/// external, the way [`crate::BatchedDpEngine::step_with_candidates`]
+/// already externalizes the shared candidate draw. Used by the bounded model
 /// checker (`crates/verify`) to enumerate every ξ vector exhaustively
 /// instead of sampling it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,13 +91,6 @@ pub struct PairCoins {
     /// ξ of the lower-priority candidate: `true` is `+1` ("move up"),
     /// `false` is `−1` ("stay down").
     pub lo_up: bool,
-}
-
-/// Where an interval's coin flips come from: drawn from `μ` (Eq. 5) or
-/// injected verbatim, one [`PairCoins`] per drawn candidate pair.
-enum CoinSource<'a> {
-    Mu(&'a [f64]),
-    Fixed(&'a [PairCoins]),
 }
 
 /// The kind of frame a [`TraceEvent::TxStart`] refers to.
@@ -154,7 +150,8 @@ pub enum TraceEvent {
     },
     /// Degraded mode only ([`crate::FaultyDpEngine`]): the two sides of a
     /// drawn pair committed inconsistent priority moves, so the local σ
-    /// views diverged. The pristine [`DpEngine`] never emits this.
+    /// views diverged. The pristine [`crate::BatchedDpEngine`] never
+    /// emits this.
     Divergence {
         /// The upper priority `C` of the diverging pair.
         upper: usize,
@@ -176,657 +173,6 @@ pub struct DpIntervalReport {
     pub trace: Vec<TraceEvent>,
 }
 
-/// Per-pair handshake state for one interval.
-#[derive(Debug, Clone)]
-struct PairState {
-    /// Upper priority `C` of the pair.
-    c: usize,
-    hi: LinkId,
-    lo: LinkId,
-    /// `ξ_hi = −1`: the higher-priority candidate wants to move down.
-    hi_wants_down: bool,
-    /// `ξ_lo = +1`: the lower-priority candidate wants to move up.
-    lo_wants_up: bool,
-    hi_checked: bool,
-    lo_checked: bool,
-    /// Channel sensed busy when hi's counter reached 1 (Eq. 7).
-    hi_busy_at_1: bool,
-    /// Channel sensed idle when lo's counter reached 1 (Eq. 8).
-    lo_idle_at_1: bool,
-    /// lo actually began a transmission (the `R_i + R_j ≥ 1` event of
-    /// Eq. 9 — without it the handshake cannot complete).
-    lo_transmitted: bool,
-    /// Deadline corner case the paper leaves unspecified (it idealizes
-    /// claim frames to zero width, Definition 10): hi chose to *stay*
-    /// (`ξ_hi = +1`, backoff `C−1`) but its claim frame no longer fit
-    /// before the deadline — at that same boundary lo's counter stands at
-    /// 1 and senses *idle*, so lo will infer "hi wants down". To keep the
-    /// permutation consistent with sensing alone, hi then concedes iff a
-    /// transmission starts at exactly the next slot boundary (only lo can
-    /// occupy that backoff slot, so the observation is unambiguous).
-    hi_concede_arm_pending: bool,
-    hi_concede_armed: bool,
-    hi_concede: bool,
-}
-
-impl PairState {
-    fn hi_swaps(&self) -> bool {
-        (self.hi_wants_down && self.hi_busy_at_1) || self.hi_concede
-    }
-
-    fn lo_swaps(&self) -> bool {
-        self.lo_wants_up && self.lo_idle_at_1 && self.lo_transmitted
-    }
-}
-
-/// Per-interval working buffers, owned by the engine so the hot loop
-/// allocates nothing after the first interval.
-#[derive(Debug, Clone, Default)]
-struct Scratch {
-    pairs: Vec<PairState>,
-    pending_empty: Vec<bool>,
-    counter: Vec<u64>,
-    role: Vec<Option<(usize, bool)>>,
-    data: Vec<u32>,
-    done: Vec<bool>,
-    transmitters: Vec<usize>,
-    /// Shuffle scratch for [`draw_nonadjacent_candidates_into`]; reused
-    /// across intervals so the per-interval draw stops allocating after
-    /// the first call.
-    draw_pool: Vec<usize>,
-}
-
-/// The DP protocol engine. Persists the priority permutation `σ` across
-/// intervals; everything else is per-interval state.
-///
-/// # Example
-///
-/// ```
-/// use rtmac_mac::{DpConfig, DpEngine, MacTiming};
-/// use rtmac_phy::channel::Bernoulli;
-/// use rtmac_phy::PhyProfile;
-/// use rtmac_sim::{Nanos, SeedStream};
-///
-/// let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_millis(2), 100);
-/// let mut engine = DpEngine::new(DpConfig::new(timing), 4);
-/// let mut channel = Bernoulli::reliable(4);
-/// let mut rng = SeedStream::new(7).rng(0);
-/// // One packet per link, neutral coins: everything is delivered
-/// // collision-free in priority order.
-/// let report = engine.run_interval(&[1, 1, 1, 1], &[0.5; 4], &mut channel, &mut rng);
-/// assert_eq!(report.outcome.total_deliveries(), 4);
-/// assert_eq!(report.outcome.collisions, 0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct DpEngine {
-    config: DpConfig,
-    sigma: Permutation,
-    scratch: Scratch,
-}
-
-impl DpEngine {
-    /// Creates an engine for `n_links` links with the identity priority
-    /// ordering (`σ_n(0) = n + 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_links == 0`.
-    #[must_use]
-    pub fn new(config: DpConfig, n_links: usize) -> Self {
-        DpEngine {
-            config,
-            sigma: Permutation::identity(n_links),
-            scratch: Scratch::default(),
-        }
-    }
-
-    /// The current priority permutation `σ(k−1)`.
-    #[must_use]
-    pub fn sigma(&self) -> &Permutation {
-        &self.sigma
-    }
-
-    /// Overrides the priority permutation (e.g. to start a fixed-priority
-    /// experiment from a chosen ordering).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the permutation size differs from the engine's link count.
-    pub fn set_sigma(&mut self, sigma: Permutation) {
-        assert_eq!(
-            sigma.len(),
-            self.sigma.len(),
-            "permutation size must match link count"
-        );
-        self.sigma = sigma;
-    }
-
-    /// Number of links.
-    #[must_use]
-    pub fn n_links(&self) -> usize {
-        self.sigma.len()
-    }
-
-    /// The engine configuration.
-    #[must_use]
-    pub fn config(&self) -> &DpConfig {
-        &self.config
-    }
-
-    /// Draws `swap_pairs` pairwise non-adjacent upper priorities `C` from
-    /// `{1, …, N−1}` (Step 1 / Remark 6). With one pair this is exactly the
-    /// uniform draw of Algorithm 2.
-    fn draw_candidates(&mut self, rng: &mut SimRng) -> Vec<usize> {
-        // The candidate set is moved into the caller-owned DpIntervalReport;
-        // only the shuffle pool is scratch, and that one persists across
-        // intervals.
-        // lint: allow(hot-path-alloc) — report-owned candidate buffer; shuffle pool reused via Scratch
-        let mut out = Vec::with_capacity(self.config.swap_pairs);
-        let mut pool = std::mem::take(&mut self.scratch.draw_pool);
-        draw_nonadjacent_candidates_into(
-            self.sigma.len(),
-            self.config.swap_pairs,
-            rng,
-            &mut out,
-            &mut pool,
-        );
-        self.scratch.draw_pool = pool;
-        out
-    }
-
-    /// Runs one interval of the DP protocol (Steps 1–7 of Algorithm 2).
-    ///
-    /// * `arrivals[n]` — packets arriving at link `n` at the interval start.
-    /// * `mu[n]` — the coin parameter `μ_n ∈ (0, 1)` of Eq. 5. The DB-DP
-    ///   algorithm computes these from delivery debts (Eq. 14); any other
-    ///   choice yields the generic protocol of Section IV.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arrivals`, `mu`, or the channel's link count disagree
-    /// with the engine's, or if some `μ_n ∉ (0, 1)`.
-    pub fn run_interval(
-        &mut self,
-        arrivals: &[u32],
-        mu: &[f64],
-        channel: &mut dyn LossModel,
-        rng: &mut SimRng,
-    ) -> DpIntervalReport {
-        let candidates = self.draw_candidates(rng);
-        self.run_candidates(arrivals, CoinSource::Mu(mu), candidates, channel, rng)
-    }
-
-    /// Runs one interval with an explicitly chosen candidate set — the
-    /// "common random seed" of Step 1 made external, so tests and
-    /// multi-node deployments can inject the shared draw. `candidates`
-    /// must be sorted upper priorities `C ∈ 1..N`, pairwise non-adjacent.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`DpEngine::run_interval`], plus a panic if the candidate
-    /// set is malformed.
-    pub fn run_interval_with_candidates(
-        &mut self,
-        arrivals: &[u32],
-        mu: &[f64],
-        candidates: &[usize],
-        channel: &mut dyn LossModel,
-        rng: &mut SimRng,
-    ) -> DpIntervalReport {
-        self.run_candidates(
-            arrivals,
-            CoinSource::Mu(mu),
-            // lint: allow(hot-path-alloc) — copies the caller's injected draw into the report-owned set
-            candidates.to_vec(),
-            channel,
-            rng,
-        )
-    }
-
-    /// Runs one interval with both the candidate draw *and* the private
-    /// coin flips injected — every random protocol decision except the
-    /// channel made explicit. `coins[j]` gives the ξ outcomes of pair
-    /// `candidates[j]`; `rng` is only consumed by the channel model.
-    /// This is the model checker's entry point: it enumerates all
-    /// `(candidates, coins, channel)` combinations exhaustively.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`DpEngine::run_interval_with_candidates`], plus a panic
-    /// if `coins` and `candidates` disagree in length.
-    pub fn run_interval_with_coins(
-        &mut self,
-        arrivals: &[u32],
-        candidates: &[usize],
-        coins: &[PairCoins],
-        channel: &mut dyn LossModel,
-        rng: &mut SimRng,
-    ) -> DpIntervalReport {
-        assert_eq!(
-            coins.len(),
-            candidates.len(),
-            "one PairCoins per candidate pair"
-        );
-        self.run_candidates(
-            arrivals,
-            CoinSource::Fixed(coins),
-            // lint: allow(hot-path-alloc) — copies the caller's injected draw into the report-owned set
-            candidates.to_vec(),
-            channel,
-            rng,
-        )
-    }
-
-    /// The shared interval body. Takes the candidate set by value so the
-    /// [`DpEngine::run_interval`] path hands its freshly drawn `Vec`
-    /// straight through without a copy.
-    fn run_candidates(
-        &mut self,
-        arrivals: &[u32],
-        coins: CoinSource<'_>,
-        candidates: Vec<usize>,
-        channel: &mut dyn LossModel,
-        rng: &mut SimRng,
-    ) -> DpIntervalReport {
-        let n = self.sigma.len();
-        assert_eq!(arrivals.len(), n, "arrivals must have one entry per link");
-        assert_eq!(channel.n_links(), n, "channel link count mismatch");
-        if let CoinSource::Mu(mu) = &coins {
-            assert_eq!(mu.len(), n, "mu must have one entry per link");
-            for (i, &m) in mu.iter().enumerate() {
-                assert!(m > 0.0 && m < 1.0, "mu[{i}] = {m} must lie in (0, 1)");
-            }
-        }
-        for (i, &c) in candidates.iter().enumerate() {
-            assert!(c >= 1 && c < n, "candidate priority {c} out of range");
-            if i > 0 {
-                assert!(
-                    c >= candidates[i - 1] + 2,
-                    "candidates must be sorted and non-adjacent"
-                );
-            }
-        }
-        let Self {
-            config,
-            sigma,
-            scratch,
-        } = self;
-        let timing = &config.timing;
-        let tracing = config.trace;
-        // lint: allow(hot-path-alloc) — report-owned trace; lazily allocating and empty unless tracing is on
-        let mut trace: Vec<TraceEvent> = Vec::new();
-
-        // Step 2–3: empty packets and coins for candidates.
-        let Scratch {
-            pairs,
-            pending_empty,
-            counter,
-            role,
-            data,
-            done,
-            transmitters,
-            draw_pool: _,
-        } = scratch;
-        pairs.clear();
-        pending_empty.clear();
-        pending_empty.resize(n, false);
-        for (j, &c) in candidates.iter().enumerate() {
-            let hi = sigma.link_with_priority(c);
-            let lo = sigma.link_with_priority(c + 1);
-            for link in [hi, lo] {
-                if arrivals[link.index()] == 0 {
-                    pending_empty[link.index()] = true;
-                }
-            }
-            // ξ = +1 with probability μ (Eq. 5), unless injected verbatim.
-            let (xi_hi_up, xi_lo_up) = match &coins {
-                CoinSource::Mu(mu) => (
-                    rng.random_bool(mu[hi.index()]),
-                    rng.random_bool(mu[lo.index()]),
-                ),
-                CoinSource::Fixed(flips) => (flips[j].hi_up, flips[j].lo_up),
-            };
-            pairs.push(PairState {
-                c,
-                hi,
-                lo,
-                hi_wants_down: !xi_hi_up,
-                lo_wants_up: xi_lo_up,
-                hi_checked: false,
-                lo_checked: false,
-                hi_busy_at_1: false,
-                lo_idle_at_1: false,
-                lo_transmitted: false,
-                hi_concede_arm_pending: false,
-                hi_concede_armed: false,
-                hi_concede: false,
-            });
-        }
-
-        // Step 4: deterministic backoff counters (Eq. 6, generalized to
-        // multiple pairs: each completed pair shifts later priorities by 2).
-        counter.clear();
-        counter.resize(n, 0);
-        role.clear();
-        role.resize(n, None); // (pair idx, is_hi)
-        for (j, pair) in pairs.iter().enumerate() {
-            role[pair.hi.index()] = Some((j, true));
-            role[pair.lo.index()] = Some((j, false));
-        }
-        for link in 0..n {
-            let sigma_n = sigma.priority_of(LinkId::new(link));
-            counter[link] = match role[link] {
-                Some((j, is_hi)) => {
-                    let pair = &pairs[j];
-                    let offset = 2 * j as u64;
-                    let xi: i64 = if is_hi {
-                        if pair.hi_wants_down {
-                            -1
-                        } else {
-                            1
-                        }
-                    } else if pair.lo_wants_up {
-                        1
-                    } else {
-                        -1
-                    };
-                    (sigma_n as i64 - xi) as u64 + offset
-                }
-                None => {
-                    let pairs_above = pairs.iter().filter(|p| p.c + 1 < sigma_n).count() as u64;
-                    (sigma_n as u64 - 1) + 2 * pairs_above
-                }
-            };
-            if tracing {
-                trace.push(TraceEvent::BackoffSet {
-                    link: LinkId::new(link),
-                    counter: counter[link],
-                });
-            }
-        }
-
-        // Interval state.
-        data.clear();
-        data.extend_from_slice(arrivals);
-        done.clear();
-        done.resize(n, false);
-        let mut outcome = IntervalOutcome::empty(n);
-        let mut medium = Medium::new();
-        let slot = timing.slot();
-        let deadline = timing.deadline();
-
-        let mut t = Nanos::ZERO;
-        let mut first_boundary = true;
-        loop {
-            if t >= deadline || done.iter().all(|&d| d) {
-                break;
-            }
-
-            // Counters decrement at every idle slot boundary except the
-            // interval start itself (links with β = 0 transmit immediately).
-            if !first_boundary {
-                for link in 0..n {
-                    if !done[link] && counter[link] > 0 {
-                        counter[link] -= 1;
-                    }
-                }
-            }
-
-            // Who starts transmitting at this boundary?
-            transmitters.clear();
-            for link in 0..n {
-                if done[link] || counter[link] != 0 {
-                    continue;
-                }
-                let has_data = data[link] > 0;
-                let has_empty = pending_empty[link];
-                if !has_data && !has_empty {
-                    done[link] = true;
-                    continue;
-                }
-                let airtime = if has_data {
-                    timing.data_airtime_for(link)
-                } else {
-                    timing.empty_airtime()
-                };
-                if timing.fits(t, airtime) {
-                    transmitters.push(link);
-                } else {
-                    // Remark 4: not enough time left — idle out the interval.
-                    done[link] = true;
-                    // See PairState::hi_concede_arm_pending: a staying hi
-                    // candidate whose claim no longer fits arms the concede
-                    // check for the next boundary.
-                    if let Some((j, true)) = role[link] {
-                        if !pairs[j].hi_wants_down {
-                            pairs[j].hi_concede_arm_pending = true;
-                        }
-                    }
-                }
-            }
-
-            // Step 5: carrier-sense checks of the swap candidates, at the
-            // boundary where their counter stands at 1. "Busy" means a
-            // transmission starts at this very boundary (the medium is idle
-            // between boundaries by construction).
-            let busy_now = !transmitters.is_empty();
-            for pair in pairs.iter_mut() {
-                // Evaluate a concede check armed at the previous boundary,
-                // then promote one staged this boundary.
-                if pair.hi_concede_armed {
-                    pair.hi_concede = busy_now;
-                    pair.hi_concede_armed = false;
-                }
-                if pair.hi_concede_arm_pending {
-                    pair.hi_concede_armed = true;
-                    pair.hi_concede_arm_pending = false;
-                }
-                if pair.hi_wants_down
-                    && !pair.hi_checked
-                    && !done[pair.hi.index()]
-                    && counter[pair.hi.index()] == 1
-                {
-                    pair.hi_checked = true;
-                    pair.hi_busy_at_1 = busy_now;
-                    if tracing {
-                        trace.push(TraceEvent::SenseCheck {
-                            link: pair.hi,
-                            at: t,
-                            busy: busy_now,
-                        });
-                    }
-                }
-                if pair.lo_wants_up
-                    && !pair.lo_checked
-                    && !done[pair.lo.index()]
-                    && counter[pair.lo.index()] == 1
-                {
-                    pair.lo_checked = true;
-                    pair.lo_idle_at_1 = !busy_now;
-                    if tracing {
-                        trace.push(TraceEvent::SenseCheck {
-                            link: pair.lo,
-                            at: t,
-                            busy: busy_now,
-                        });
-                    }
-                }
-            }
-
-            if transmitters.is_empty() {
-                outcome.idle_slots += 1;
-                t += slot;
-                first_boundary = false;
-                continue;
-            }
-
-            // The DP backoff construction guarantees a unique transmitter.
-            debug_assert_eq!(
-                transmitters.len(),
-                1,
-                "DP protocol must be collision-free (σ = {}, counters = {:?})",
-                sigma,
-                counter
-            );
-
-            if transmitters.len() == 1 {
-                let link = transmitters[0];
-                if let Some((j, false)) = role[link] {
-                    pairs[j].lo_transmitted = true;
-                }
-                // Step 6: transmit until the buffer drains or time runs out,
-                // holding the medium back-to-back.
-                let mut now = t;
-                let airtime = timing.data_airtime_for(link);
-                while data[link] > 0 && timing.fits(now, airtime) {
-                    let tx = medium.transmit(now, &[airtime]);
-                    outcome.attempts[link] += 1;
-                    let delivered = channel.attempt(LinkId::new(link), rng);
-                    if delivered {
-                        data[link] -= 1;
-                        outcome.deliveries[link] += 1;
-                        outcome.latency_sum[link] += tx.ends_at;
-                    }
-                    if tracing {
-                        trace.push(TraceEvent::TxStart {
-                            link: LinkId::new(link),
-                            at: now,
-                            kind: FrameKind::Data,
-                        });
-                        trace.push(TraceEvent::TxEnd {
-                            link: LinkId::new(link),
-                            at: tx.ends_at,
-                            delivered,
-                        });
-                    }
-                    now = tx.ends_at;
-                }
-                if data[link] == 0
-                    && pending_empty[link]
-                    && timing.fits(now, timing.empty_airtime())
-                {
-                    let tx = medium.transmit(now, &[timing.empty_airtime()]);
-                    outcome.empty_packets += 1;
-                    pending_empty[link] = false;
-                    if tracing {
-                        trace.push(TraceEvent::TxStart {
-                            link: LinkId::new(link),
-                            at: now,
-                            kind: FrameKind::Empty,
-                        });
-                        trace.push(TraceEvent::TxEnd {
-                            link: LinkId::new(link),
-                            at: tx.ends_at,
-                            delivered: false,
-                        });
-                    }
-                    now = tx.ends_at;
-                }
-                done[link] = true;
-                t = now + slot; // one idle slot before the next decrement
-            } else {
-                // Defensive generic path (unreachable for a correct DP
-                // construction, checked above in debug builds): simultaneous
-                // starts collide and all frames are lost.
-                let airtimes: Vec<Nanos> = transmitters
-                    .iter()
-                    .map(|&l| {
-                        if data[l] > 0 {
-                            timing.data_airtime_for(l)
-                        } else {
-                            timing.empty_airtime()
-                        }
-                    })
-                    // lint: allow(hot-path-alloc) — defensive collision path, unreachable for a correct DP construction
-                    .collect();
-                let tx = medium.transmit(t, &airtimes);
-                for &l in transmitters.iter() {
-                    if data[l] > 0 {
-                        outcome.attempts[l] += 1;
-                    } else {
-                        outcome.empty_packets += 1;
-                        pending_empty[l] = false;
-                    }
-                    done[l] = true;
-                }
-                // The episode is counted once through `medium.stats()` at
-                // interval end (adding it here too would double-count).
-                t = tx.ends_at + slot;
-            }
-            first_boundary = false;
-        }
-
-        // Steps 5/7: commit the handshakes and update σ for interval k+1.
-        // lint: allow(hot-path-alloc) — report-owned swap list; lazily allocates only when a swap commits
-        let mut swaps = Vec::new();
-        for pair in pairs.iter() {
-            let hi_swaps = pair.hi_swaps();
-            let lo_swaps = pair.lo_swaps();
-            debug_assert_eq!(
-                hi_swaps, lo_swaps,
-                "swap handshake diverged for pair C = {} (σ = {})",
-                pair.c, sigma
-            );
-            if hi_swaps && lo_swaps {
-                let t = AdjacentTransposition::new(pair.c);
-                sigma.apply(t);
-                swaps.push(t);
-                if tracing {
-                    trace.push(TraceEvent::SwapCommitted { upper: pair.c });
-                }
-            }
-        }
-
-        // Interval postconditions (cheap enough to keep in debug builds):
-        // σ(k+1) must still be a bijection of 1..=N, and each drawn pair
-        // commits at most one transposition, so the committed swaps are a
-        // strictly-increasing subset of the drawn candidates.
-        #[cfg(debug_assertions)]
-        {
-            // lint: allow(hot-path-alloc) — debug_assertions-only bijection check, compiled out of release builds
-            let mut seen = vec![false; n];
-            for &p in sigma.priorities() {
-                debug_assert!(
-                    p >= 1 && p <= n && !seen[p - 1],
-                    "σ is no longer a permutation after interval commit: {sigma}"
-                );
-                seen[p - 1] = true;
-            }
-            debug_assert!(
-                swaps.len() <= candidates.len(),
-                "more swaps committed ({}) than pairs drawn ({})",
-                swaps.len(),
-                candidates.len()
-            );
-            for w in swaps.windows(2) {
-                debug_assert!(
-                    w[0].upper() < w[1].upper(),
-                    "a drawn pair committed two swaps (uppers {} and {})",
-                    w[0].upper(),
-                    w[1].upper()
-                );
-            }
-            for t in &swaps {
-                debug_assert!(
-                    candidates.contains(&t.upper()),
-                    "committed swap at priority {} was never drawn as a candidate",
-                    t.upper()
-                );
-            }
-        }
-
-        outcome.collisions += medium.stats().collisions;
-        outcome.busy_time = medium.stats().busy_time;
-        outcome.leftover = deadline.saturating_sub(medium.busy_until());
-        DpIntervalReport {
-            outcome,
-            candidates,
-            swaps,
-            trace,
-        }
-    }
-}
-
 /// Draws `want` pairwise non-adjacent upper priorities `C` uniformly at
 /// random from `{1, …, N−1}` (Step 1 of Algorithm 2 / Remark 6).
 ///
@@ -834,8 +180,8 @@ impl DpEngine {
 /// disjoint; the result is sorted ascending. `want` is clamped to `⌊n/2⌋`
 /// (the maximum number of disjoint adjacent pairs), and the draw is empty
 /// when `n < 2` or `want == 0`. This is the same sampler
-/// [`DpEngine::run_interval`] uses internally for its shared candidate
-/// draw; the statistical model checker (`crates/verify`) calls it directly
+/// [`crate::BatchedDpEngine::step`] uses internally for its shared
+/// candidate draw; the statistical model checker (`crates/verify`) calls it directly
 /// to sample the candidate-*set* dimension of a trajectory.
 ///
 /// # Example
@@ -862,9 +208,9 @@ pub fn draw_nonadjacent_candidates(n: usize, want: usize, rng: &mut SimRng) -> V
 /// set into `out` using `pool` as shuffle scratch.
 ///
 /// Consumes exactly the same RNG sequence as the allocating form, so a
-/// caller that swaps one for the other (the batched interval kernel does)
-/// keeps bit-identical traces. Both buffers are cleared first; after the
-/// first call at a given `(n, want)` no further allocation occurs.
+/// caller that swaps one for the other keeps bit-identical traces. Both
+/// buffers are cleared first; after the first call at a given
+/// `(n, want)` no further allocation occurs.
 pub fn draw_nonadjacent_candidates_into(
     n: usize,
     want: usize,
@@ -895,456 +241,5 @@ pub fn draw_nonadjacent_candidates_into(
     out.sort_unstable();
     for (i, x) in out.iter_mut().enumerate() {
         *x += i;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
-    use rtmac_phy::channel::Bernoulli;
-    use rtmac_phy::PhyProfile;
-    use rtmac_sim::SeedStream;
-
-    fn timing_ms(ms: u64, payload: u32) -> MacTiming {
-        MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_millis(ms), payload)
-    }
-
-    fn engine(n: usize) -> DpEngine {
-        DpEngine::new(DpConfig::new(timing_ms(20, 1500)), n)
-    }
-
-    #[test]
-    fn reliable_network_delivers_everything_when_capacity_allows() {
-        let mut e = engine(4);
-        let mut ch = Bernoulli::reliable(4);
-        let mut rng = SeedStream::new(1).rng(0);
-        let report = e.run_interval(&[3, 2, 1, 4], &[0.5; 4], &mut ch, &mut rng);
-        assert_eq!(report.outcome.deliveries, [3, 2, 1, 4]);
-        assert_eq!(report.outcome.total_attempts(), 10);
-        assert_eq!(report.outcome.collisions, 0);
-    }
-
-    #[test]
-    fn is_collision_free_across_many_random_intervals() {
-        let mut e = engine(10);
-        let mut ch = Bernoulli::new(vec![0.7; 10]).unwrap();
-        let mut rng = SeedStream::new(2).rng(0);
-        for k in 0..200 {
-            let arrivals: Vec<u32> = (0..10).map(|i| ((k + i) % 4) as u32).collect();
-            let report = e.run_interval(&arrivals, &[0.3; 10], &mut ch, &mut rng);
-            assert_eq!(report.outcome.collisions, 0, "collision at interval {k}");
-        }
-    }
-
-    #[test]
-    fn priority_determines_service_order() {
-        // Overload the interval so only the highest-priority links get
-        // through: N links each with a full buffer.
-        let timing = timing_ms(2, 100); // 16 transmissions fit
-        let mut e = DpEngine::new(DpConfig::new(timing).with_swap_pairs(0), 4);
-        let mut ch = Bernoulli::reliable(4);
-        let mut rng = SeedStream::new(3).rng(0);
-        // Reverse priorities: link 3 is highest.
-        e.set_sigma(Permutation::from_priorities(vec![4, 3, 2, 1]).unwrap());
-        let report = e.run_interval(&[10, 10, 10, 10], &[0.5; 4], &mut ch, &mut rng);
-        // 16 slots: link3 gets 10, link2 gets 6 (minus backoff overhead,
-        // possibly 5), links 1 and 0 get nothing.
-        assert_eq!(report.outcome.deliveries[3], 10);
-        assert!(report.outcome.deliveries[2] >= 4);
-        assert_eq!(report.outcome.deliveries[0], 0);
-        assert!(report.swaps.is_empty());
-    }
-
-    #[test]
-    fn swap_pairs_zero_never_reorders() {
-        let mut e = DpEngine::new(DpConfig::new(timing_ms(20, 1500)).with_swap_pairs(0), 6);
-        let before = e.sigma().clone();
-        let mut ch = Bernoulli::reliable(6);
-        let mut rng = SeedStream::new(4).rng(0);
-        for _ in 0..50 {
-            let r = e.run_interval(&[1; 6], &[0.5; 6], &mut ch, &mut rng);
-            assert!(r.candidates.is_empty());
-            assert!(r.swaps.is_empty());
-        }
-        assert_eq!(e.sigma(), &before);
-    }
-
-    #[test]
-    fn forced_swap_exchanges_the_candidate_pair() {
-        // μ near 1 for the lower candidate and near 0 for the upper one
-        // makes ξ_lo = +1 and ξ_hi = −1 almost surely, so candidates swap
-        // whenever drawn. With N = 2 the pair is always (1, 2).
-        let mut e = DpEngine::new(DpConfig::new(timing_ms(20, 1500)), 2);
-        let mut ch = Bernoulli::reliable(2);
-        let mut rng = SeedStream::new(5).rng(0);
-        // link0 has priority 1 (upper candidate): wants down with 1−μ0.
-        let mu = [1e-9, 1.0 - 1e-9];
-        let r = e.run_interval(&[1, 1], &mu, &mut ch, &mut rng);
-        assert_eq!(r.candidates, [1]);
-        assert_eq!(r.swaps, [AdjacentTransposition::new(1)]);
-        assert_eq!(e.sigma().priorities(), [2, 1]);
-    }
-
-    #[test]
-    fn refused_swap_keeps_priorities() {
-        // μ flipped: upper wants to stay up, lower wants to stay down.
-        let mut e = DpEngine::new(DpConfig::new(timing_ms(20, 1500)), 2);
-        let mut ch = Bernoulli::reliable(2);
-        let mut rng = SeedStream::new(6).rng(0);
-        let mu = [1.0 - 1e-9, 1e-9];
-        let r = e.run_interval(&[1, 1], &mu, &mut ch, &mut rng);
-        assert!(r.swaps.is_empty());
-        assert_eq!(e.sigma().priorities(), [1, 2]);
-    }
-
-    #[test]
-    fn empty_packets_claim_priority_without_arrivals() {
-        // No arrivals anywhere: only the two candidates transmit empty
-        // packets; the swap still completes.
-        let mut e = DpEngine::new(DpConfig::new(timing_ms(20, 1500)), 3);
-        let mut ch = Bernoulli::reliable(3);
-        let mut rng = SeedStream::new(7).rng(0);
-        let mu = [1e-9, 1e-9, 1.0 - 1e-9];
-        // Try a few intervals; whenever the drawn pair is (link at C wants
-        // down, link at C+1 wants up) the swap happens. Just verify empty
-        // packets are sent and no data attempts occur.
-        let r = e.run_interval(&[0, 0, 0], &mu, &mut ch, &mut rng);
-        assert_eq!(r.outcome.total_attempts(), 0);
-        assert_eq!(r.outcome.total_deliveries(), 0);
-        assert_eq!(r.outcome.empty_packets, 2);
-    }
-
-    #[test]
-    fn no_swap_when_interval_too_short_for_any_frame() {
-        // Deadline shorter than even an empty frame: nothing can transmit,
-        // so the handshake cannot complete (the R_i + R_j >= 1 term of
-        // Eq. 9) and priorities stay.
-        let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_micros(40), 1500);
-        let mut e = DpEngine::new(DpConfig::new(timing), 2);
-        let mut ch = Bernoulli::reliable(2);
-        let mut rng = SeedStream::new(8).rng(0);
-        let mu = [1e-9, 1.0 - 1e-9]; // would swap if they could transmit
-        for _ in 0..20 {
-            let r = e.run_interval(&[0, 0], &mu, &mut ch, &mut rng);
-            assert!(r.swaps.is_empty());
-            assert_eq!(r.outcome.empty_packets, 0);
-        }
-        assert_eq!(e.sigma().priorities(), [1, 2]);
-    }
-
-    #[test]
-    fn unreliable_channel_retries_until_deadline() {
-        // One link, p = 0.5: attempts keep going until the buffer drains or
-        // the interval ends; attempts >= deliveries.
-        let mut e = DpEngine::new(DpConfig::new(timing_ms(2, 100)), 1);
-        let mut ch = Bernoulli::new(vec![0.5]).unwrap();
-        let mut rng = SeedStream::new(9).rng(0);
-        let r = e.run_interval(&[8], &[0.5], &mut ch, &mut rng);
-        assert!(r.outcome.attempts[0] >= r.outcome.deliveries[0]);
-        assert!(r.outcome.attempts[0] <= 16);
-        assert!(r.outcome.deliveries[0] <= 8);
-    }
-
-    #[test]
-    fn backoff_overhead_costs_at_most_a_couple_transmissions() {
-        // The paper: DB-DP has "1 or 2 fewer transmissions per interval"
-        // than the 60 of LDF in the video setting.
-        let mut e = engine(20);
-        let mut ch = Bernoulli::reliable(20);
-        let mut rng = SeedStream::new(10).rng(0);
-        // Saturate: plenty of packets everywhere.
-        let r = e.run_interval(&[6; 20], &[0.5; 20], &mut ch, &mut rng);
-        let total = r.outcome.total_deliveries();
-        assert!(
-            (58..=61).contains(&total),
-            "expected ~59-61 deliveries, got {total}"
-        );
-    }
-
-    #[test]
-    fn multi_pair_draws_disjoint_pairs_and_swaps_consistently() {
-        let mut e = DpEngine::new(DpConfig::new(timing_ms(20, 1500)).with_swap_pairs(3), 10);
-        let mut ch = Bernoulli::reliable(10);
-        let mut rng = SeedStream::new(11).rng(0);
-        for _ in 0..100 {
-            let r = e.run_interval(&[1; 10], &[0.5; 10], &mut ch, &mut rng);
-            assert_eq!(r.candidates.len(), 3);
-            let mut sorted = r.candidates.clone();
-            sorted.sort_unstable();
-            assert!(sorted.windows(2).all(|w| w[1] - w[0] >= 2));
-            assert_eq!(r.outcome.collisions, 0);
-            // σ must remain a valid permutation.
-            assert!(Permutation::from_priorities(e.sigma().priorities().to_vec()).is_ok());
-        }
-    }
-
-    /// Reproduces Example 2 / Fig. 2 of the paper exactly: N = 4 links,
-    /// p_n = 1, one packet each, σ(1) = [1,2,3,4], candidates C = 2. With
-    /// ξ_2 = −1 (β_2 = 3) and ξ_3 = +1 (β_3 = 2), links 2 and 3 exchange
-    /// priorities and σ(2) = [1,3,2,4]. The trace pins the whole timeline.
-    #[test]
-    fn paper_example_2_timeline() {
-        let slot = Nanos::from_micros(9);
-        let airtime = PhyProfile::ieee80211a().packet_exchange_airtime(1500); // 326 µs
-        let timing = timing_ms(20, 1500);
-        let mut e = DpEngine::new(DpConfig::new(timing).with_trace(true), 4);
-        let mut ch = Bernoulli::reliable(4);
-        let mut rng = SeedStream::new(0).rng(0);
-        // Paper's link 2 = our link index 1 (wants down: μ ≈ 0);
-        // paper's link 3 = our link index 2 (wants up: μ ≈ 1).
-        let mu = [0.5, 1e-12, 1.0 - 1e-12, 0.5];
-        let report = e.run_interval_with_candidates(&[1; 4], &mu, &[2], &mut ch, &mut rng);
-
-        // Backoffs per Eq. 6 / Fig. 2: β = [0, 3, 2, 5].
-        let backoffs: Vec<(usize, u64)> = report
-            .trace
-            .iter()
-            .filter_map(|ev| match ev {
-                TraceEvent::BackoffSet { link, counter } => Some((link.index(), *counter)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(backoffs, [(0, 0), (1, 3), (2, 2), (3, 5)]);
-
-        // Transmission order and exact start times:
-        //   link 0 at t = 0,
-        //   link 2 at A + 2 slots (its counter 2 drains in two idle slots),
-        //   link 1 at 2A + 3 slots (frozen at 1 during link 2's frame),
-        //   link 3 at 3A + 5 slots (β = 5, one decrement after each of the
-        //   three frames plus two trailing idle slots).
-        let starts: Vec<(usize, Nanos)> = report
-            .trace
-            .iter()
-            .filter_map(|ev| match ev {
-                TraceEvent::TxStart { link, at, kind } => {
-                    assert_eq!(*kind, FrameKind::Data);
-                    Some((link.index(), *at))
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            starts,
-            [
-                (0, Nanos::ZERO),
-                (2, airtime + slot * 2),
-                (1, airtime * 2 + slot * 3),
-                (3, airtime * 3 + slot * 5),
-            ]
-        );
-
-        // Both candidates sensed at counter 1: lo heard idle, hi heard busy.
-        let checks: Vec<(usize, bool)> = report
-            .trace
-            .iter()
-            .filter_map(|ev| match ev {
-                TraceEvent::SenseCheck { link, busy, .. } => Some((link.index(), *busy)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(checks, [(2, false), (1, true)]);
-
-        // The swap committed: σ(2) = [1,3,2,4].
-        assert_eq!(report.swaps, [AdjacentTransposition::new(2)]);
-        assert!(report
-            .trace
-            .contains(&TraceEvent::SwapCommitted { upper: 2 }));
-        assert_eq!(e.sigma().priorities(), [1, 3, 2, 4]);
-        assert_eq!(report.outcome.deliveries, [1, 1, 1, 1]);
-    }
-
-    /// All four ξ combinations of a single pair, pinned deterministically:
-    /// the swap commits iff (hi wants down) AND (lo wants up), matching
-    /// Eq. 9's (1−μ_i)·μ_j structure.
-    #[test]
-    fn handshake_truth_table() {
-        for (hi_up, lo_up, expect_swap) in [
-            (true, true, false),   // hi stays, lo wants up -> blocked
-            (true, false, false),  // both stay
-            (false, true, true),   // hi down, lo up -> swap
-            (false, false, false), // hi wants down, lo stays
-        ] {
-            let mut e = DpEngine::new(DpConfig::new(timing_ms(20, 1500)), 2);
-            let mut ch = Bernoulli::reliable(2);
-            let mut rng = SeedStream::new(9).rng(0);
-            let eps = 1e-12;
-            let mu = [
-                if hi_up { 1.0 - eps } else { eps },
-                if lo_up { 1.0 - eps } else { eps },
-            ];
-            let r = e.run_interval_with_candidates(&[1, 1], &mu, &[1], &mut ch, &mut rng);
-            assert_eq!(
-                !r.swaps.is_empty(),
-                expect_swap,
-                "hi_up={hi_up} lo_up={lo_up}"
-            );
-            let expected = if expect_swap { [2, 1] } else { [1, 2] };
-            assert_eq!(e.sigma().priorities(), expected);
-        }
-    }
-
-    /// The deadline corner case the paper leaves unspecified: hi chose to
-    /// stay (ξ = +1) but its data frame no longer fits, while lo's shorter
-    /// empty claim does. lo senses idle at counter 1 and infers "hi wants
-    /// down"; the concede rule makes hi agree, keeping σ consistent.
-    #[test]
-    fn concede_path_keeps_sigma_consistent() {
-        // N = 2, C = 1: hi = link0 (priority 1, ξ = +1 -> β = 0),
-        // lo = link1 (priority 2, ξ = +1 -> β = 1).
-        // Deadline: one empty frame (62 µs) fits after one slot, but a
-        // data frame (326 µs) does not fit at t = 0.
-        let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_micros(200), 1500);
-        let mut e = DpEngine::new(DpConfig::new(timing).with_trace(true), 2);
-        let mut ch = Bernoulli::reliable(2);
-        let mut rng = SeedStream::new(3).rng(0);
-        let eps = 1e-12;
-        // hi has a data packet (doesn't fit); lo has no arrival -> empty
-        // claim frame (fits).
-        let mu = [1.0 - eps, 1.0 - eps];
-        let r = e.run_interval_with_candidates(&[1, 0], &mu, &[1], &mut ch, &mut rng);
-        // lo transmitted its empty claim; hi conceded; both swapped.
-        assert_eq!(r.outcome.empty_packets, 1);
-        assert_eq!(r.outcome.attempts, [0, 0], "hi's data frame never fit");
-        assert_eq!(r.swaps, [AdjacentTransposition::new(1)]);
-        assert_eq!(e.sigma().priorities(), [2, 1]);
-    }
-
-    /// Same corner but lo's frame does not fit either: nothing transmits,
-    /// nobody concedes, σ unchanged.
-    #[test]
-    fn concede_requires_lo_transmission() {
-        let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_micros(60), 1500);
-        let mut e = DpEngine::new(DpConfig::new(timing), 2);
-        let mut ch = Bernoulli::reliable(2);
-        let mut rng = SeedStream::new(4).rng(0);
-        let eps = 1e-12;
-        let mu = [1.0 - eps, 1.0 - eps];
-        // Both have data frames (326 µs) that can never fit in 60 µs; lo's
-        // would-be empty frame is not generated because it has an arrival.
-        let r = e.run_interval_with_candidates(&[1, 1], &mu, &[1], &mut ch, &mut rng);
-        assert!(r.swaps.is_empty());
-        assert_eq!(r.outcome.total_deliveries(), 0);
-        assert_eq!(e.sigma().priorities(), [1, 2]);
-    }
-
-    #[test]
-    fn trace_is_empty_when_disabled() {
-        let mut e = engine(3);
-        let mut ch = Bernoulli::reliable(3);
-        let mut rng = SeedStream::new(1).rng(0);
-        let report = e.run_interval(&[1; 3], &[0.5; 3], &mut ch, &mut rng);
-        assert!(report.trace.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "non-adjacent")]
-    fn adjacent_candidate_set_rejected() {
-        let mut e = engine(6);
-        let mut ch = Bernoulli::reliable(6);
-        let mut rng = SeedStream::new(1).rng(0);
-        let _ = e.run_interval_with_candidates(&[1; 6], &[0.5; 6], &[2, 3], &mut ch, &mut rng);
-    }
-
-    /// Mixed payloads on one medium: a 100 B control link squeezes its
-    /// frame into tail time a 1500 B video frame cannot use.
-    #[test]
-    fn heterogeneous_payloads_share_the_interval() {
-        // Deadline fits one 326 µs video frame plus one 118 µs control
-        // frame (444 µs + slots), but not two video frames.
-        let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_micros(500), 1500)
-            .with_link_payloads(&[1500, 100]);
-        let mut e = DpEngine::new(DpConfig::new(timing).with_swap_pairs(0), 2);
-        let mut ch = Bernoulli::reliable(2);
-        let mut rng = SeedStream::new(1).rng(0);
-        let r = e.run_interval(&[2, 2], &[0.5, 0.5], &mut ch, &mut rng);
-        // Video link (priority 1) sends one frame; its second doesn't fit.
-        assert_eq!(r.outcome.deliveries[0], 1);
-        // Control link still delivers one 118 µs frame in the remainder.
-        assert_eq!(r.outcome.deliveries[1], 1);
-    }
-
-    #[test]
-    fn single_link_network_just_transmits() {
-        let mut e = DpEngine::new(DpConfig::new(timing_ms(2, 100)), 1);
-        let mut ch = Bernoulli::reliable(1);
-        let mut rng = SeedStream::new(12).rng(0);
-        let r = e.run_interval(&[5], &[0.5], &mut ch, &mut rng);
-        assert_eq!(r.outcome.deliveries, [5]);
-        assert!(r.candidates.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "must lie in (0, 1)")]
-    fn mu_out_of_range_panics() {
-        let mut e = engine(2);
-        let mut ch = Bernoulli::reliable(2);
-        let mut rng = SeedStream::new(0).rng(0);
-        let _ = e.run_interval(&[1, 1], &[0.0, 0.5], &mut ch, &mut rng);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Core protocol invariants over random workloads: never a
-        /// collision, σ stays a valid permutation, per-link deliveries never
-        /// exceed arrivals, and the swap handshake never diverges (the
-        /// debug assertions inside run_interval enforce agreement).
-        #[test]
-        fn prop_dp_invariants(
-            n in 2usize..8,
-            seed in 0u64..500,
-            intervals in 1usize..30,
-            pairs in 0usize..3,
-        ) {
-            let timing = MacTiming::new(
-                PhyProfile::ieee80211a(),
-                Nanos::from_millis(5),
-                300,
-            );
-            let mut e = DpEngine::new(DpConfig::new(timing).with_swap_pairs(pairs), n);
-            let seeds = SeedStream::new(seed);
-            let mut rng = seeds.rng(0);
-            let mut arr_rng = seeds.rng(1);
-            let mut ch = Bernoulli::new(vec![0.6; n]).unwrap();
-            for _ in 0..intervals {
-                let arrivals: Vec<u32> =
-                    (0..n).map(|_| arr_rng.random_range(0..4)).collect();
-                let mu: Vec<f64> = (0..n).map(|_| arr_rng.random_range(0.05..0.95)).collect();
-                let r = e.run_interval(&arrivals, &mu, &mut ch, &mut rng);
-                prop_assert_eq!(r.outcome.collisions, 0);
-                for (link, &d) in r.outcome.deliveries.iter().enumerate() {
-                    prop_assert!(
-                        d <= u64::from(arrivals[link]),
-                        "link {} delivered {} of {}", link, d, arrivals[link]
-                    );
-                }
-                prop_assert!(
-                    Permutation::from_priorities(e.sigma().priorities().to_vec()).is_ok()
-                );
-                // Every committed swap corresponds to exactly one drawn
-                // candidate pair: at most |C(k)| swaps, each at a drawn
-                // upper priority, and no upper priority swaps twice.
-                prop_assert!(r.swaps.len() <= r.candidates.len());
-                for (i, t) in r.swaps.iter().enumerate() {
-                    prop_assert!(
-                        r.candidates.contains(&t.upper()),
-                        "swap at {} not among drawn candidates {:?}",
-                        t.upper(),
-                        r.candidates
-                    );
-                    if i > 0 {
-                        prop_assert!(r.swaps[i - 1].upper() < t.upper());
-                    }
-                }
-                if pairs <= 1 {
-                    // The paper's configuration: at most one adjacent pair
-                    // exchanges priorities per interval.
-                    prop_assert!(r.swaps.len() <= 1);
-                }
-                // Busy time can never exceed the interval.
-                prop_assert!(r.outcome.busy_time <= Nanos::from_millis(5));
-            }
-        }
     }
 }

@@ -2,15 +2,16 @@
 //! priority state, with injected carrier-sensing faults, scripted link
 //! churn, and a self-stabilizing recovery rule.
 //!
-//! The pristine [`DpEngine`](crate::DpEngine) holds one global permutation σ
-//! because perfect sensing keeps every link's local view identical. Once the
+//! The pristine [`BatchedDpEngine`](crate::BatchedDpEngine) holds one
+//! global permutation σ because perfect sensing keeps every link's local
+//! view identical. Once the
 //! sensing oracle can lie (Eqs. 7–8 observed through a
 //! [`FaultModel`]), the two sides of a drawn pair can commit *different*
 //! moves, and from then on each link only has a private **belief** about its
 //! own priority. This engine therefore replaces σ with a per-link belief
 //! vector (an arbitrary multiset over `1..=N`), runs the same deterministic
 //! backoff construction from each link's own belief, and — where the
-//! pristine engine debug-asserts collision-freedom — *models* the collision:
+//! pristine engine asserts collision-freedom — *models* the collision:
 //! all simultaneous frames are destroyed and the medium stays busy for the
 //! longest airtime.
 //!
@@ -251,7 +252,7 @@ pub struct ChurnEvent {
 }
 
 /// Per-interval state for one link that believes it is a side of a drawn
-/// pair. Mirrors the pristine engine's `PairState`, but split per link:
+/// pair. Mirrors the pristine engine's per-pair state, but split per link:
 /// under corrupted beliefs several links can claim the same side of the
 /// same pair.
 #[derive(Debug, Clone)]
@@ -271,7 +272,8 @@ struct Believer {
     concede: bool,
 }
 
-/// Per-interval working buffers, engine-owned like the pristine `Scratch`.
+/// Per-interval working buffers, owned by the engine so the hot loop
+/// allocates nothing after the first interval.
 #[derive(Debug, Clone, Default)]
 struct FaultyScratch {
     believers: Vec<Believer>,
@@ -602,7 +604,7 @@ impl FaultyDpEngine {
     }
 
     /// Runs one degraded-mode interval. Arguments as in
-    /// [`DpEngine::run_interval`](crate::DpEngine::run_interval).
+    /// [`BatchedDpEngine::step`](crate::BatchedDpEngine::step).
     ///
     /// # Panics
     ///
@@ -1161,7 +1163,7 @@ impl FaultyDpEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DpEngine, MacTiming};
+    use crate::{BatchedDpEngine, MacTiming};
     use proptest::prelude::*;
     use rtmac_phy::channel::Bernoulli;
     use rtmac_phy::fault::BurstSensing;
@@ -1179,7 +1181,7 @@ mod tests {
     #[test]
     fn zero_faults_identity_beliefs_match_pristine_engine() {
         let n = 5;
-        let mut pristine = DpEngine::new(DpConfig::new(timing()).with_trace(true), n);
+        let mut pristine = BatchedDpEngine::new(DpConfig::new(timing()).with_trace(true), n);
         let mut faulty = FaultyDpEngine::new(DpConfig::new(timing()).with_trace(true), n);
         let mut rng_a = SeedStream::new(42).rng(2);
         let mut rng_b = SeedStream::new(42).rng(2);
@@ -1188,9 +1190,9 @@ mod tests {
         let arrivals = [2, 0, 1, 3, 0];
         let mu = [0.4; 5];
         for k in 0..200 {
-            let a = pristine.run_interval(&arrivals, &mu, &mut ch_a, &mut rng_a);
+            let a = pristine.step(&arrivals, &mu, &mut ch_a, &mut rng_a);
             let b = faulty.run_interval(&arrivals, &mu, &mut ch_b, &mut rng_b);
-            assert_eq!(a, b, "interval {k} diverged");
+            assert_eq!(a, &b, "interval {k} diverged");
             assert_eq!(pristine.sigma().priorities(), faulty.beliefs());
         }
         let s = faulty.stats();
@@ -1208,7 +1210,7 @@ mod tests {
             p in 0.3f64..1.0,
         ) {
             let cfg = || DpConfig::new(timing()).with_swap_pairs(pairs).with_trace(true);
-            let mut pristine = DpEngine::new(cfg(), n);
+            let mut pristine = BatchedDpEngine::new(cfg(), n);
             let mut faulty = FaultyDpEngine::new(cfg(), n);
             let mut rng_a = SeedStream::new(seed).rng(2);
             let mut rng_b = SeedStream::new(seed).rng(2);
@@ -1224,9 +1226,9 @@ mod tests {
                 for m in mu.iter_mut() {
                     *m = arr_rng.random_range(1..100) as f64 / 100.0;
                 }
-                let a = pristine.run_interval(&arrivals, &mu, &mut ch_a, &mut rng_a);
+                let a = pristine.step(&arrivals, &mu, &mut ch_a, &mut rng_a);
                 let b = faulty.run_interval(&arrivals, &mu, &mut ch_b, &mut rng_b);
-                prop_assert_eq!(&a, &b, "interval {} diverged", k);
+                prop_assert_eq!(a, &b, "interval {} diverged", k);
                 prop_assert_eq!(pristine.sigma().priorities(), faulty.beliefs());
             }
             prop_assert_eq!(faulty.stats(), FaultStats::default());

@@ -8,15 +8,16 @@
 //!
 //! Engines:
 //!
-//! * [`DpEngine`] — the paper's contribution: the Decentralized Priority
-//!   protocol (Algorithm 2). Collision-free deterministic backoff derived
-//!   from per-link priority indices, randomized adjacent-pair reordering
-//!   driven purely by coin flips and carrier sensing, empty priority-claim
-//!   packets, and the multi-pair generalization of Remark 6.
-//! * [`BatchedDpEngine`] — the massive-N interval kernel: bit-identical to
-//!   [`DpEngine`] but `O(min(N, deadline/slot))` per interval, walking
+//! * [`BatchedDpEngine`] — the paper's contribution: the Decentralized
+//!   Priority protocol (Algorithm 2). Collision-free deterministic backoff
+//!   derived from per-link priority indices, randomized adjacent-pair
+//!   reordering driven purely by coin flips and carrier sensing, empty
+//!   priority-claim packets, and the multi-pair generalization of
+//!   Remark 6. It costs `O(min(N, deadline/slot))` per interval: it walks
 //!   links in counter order over a flat struct-of-arrays state and
-//!   resolving carrier-sense checks against a bitset claim board.
+//!   resolves carrier-sense checks against a bitset claim board.
+//!   [`reference::ReferenceNetwork`] re-implements the same protocol one
+//!   device at a time and serves as its differential-test oracle.
 //! * [`FaultyDpEngine`] — the degraded-mode DP path: the same protocol
 //!   executed over per-link priority *beliefs* with injected carrier-sensing
 //!   faults and link churn, modeled collisions instead of asserted
@@ -67,8 +68,8 @@ pub use batched::BatchedDpEngine;
 pub use centralized::CentralizedEngine;
 pub use dcf::{DcfConfig, DcfEngine};
 pub use dp::{
-    draw_nonadjacent_candidates, draw_nonadjacent_candidates_into, DpConfig, DpEngine,
-    DpIntervalReport, FrameKind, PairCoins, TraceEvent,
+    draw_nonadjacent_candidates, draw_nonadjacent_candidates_into, DpConfig, DpIntervalReport,
+    FrameKind, PairCoins, TraceEvent,
 };
 pub use faulty::{ChurnEvent, FaultStats, FaultyDpEngine, MissLimit, RecoveryConfig};
 pub use fcsma::{FcsmaEngine, FcsmaQuantizer};

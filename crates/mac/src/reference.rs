@@ -1,9 +1,10 @@
 //! A reference implementation of the DP protocol, written from the
 //! *device's* point of view.
 //!
-//! [`crate::DpEngine`] is written like a simulator: one loop with global
-//! visibility of every counter. This module re-implements Algorithm 2 the
-//! way a real radio would run it — each device is an isolated state
+//! [`crate::BatchedDpEngine`] is written like a simulator: one walk with
+//! global visibility of every counter. This module re-implements
+//! Algorithm 2, with the multi-pair draw of Remark 6, the way a real radio
+//! would run it — each device is an isolated state
 //! machine that sees only
 //!
 //! * its own arrivals, priority index, coin flip, and the shared draw
@@ -12,9 +13,9 @@
 //! * its own transmission completions,
 //!
 //! and the [`ReferenceNetwork`] driver merely delivers those observations
-//! through an [`rtmac_sim::Simulator`] event loop. Differential tests in
-//! this module (and in the workspace integration suite) drive both
-//! implementations through identical arrivals, coin flips, and scripted
+//! through an [`rtmac_sim::Simulator`] event loop, one slot boundary at a
+//! time. Differential tests in this module (and in
+//! `tests/batched_equivalence.rs`) drive both implementations through identical arrivals, coin flips, and scripted
 //! channel outcomes and require bit-identical behaviour — strong evidence
 //! that the fast engine implements the *decentralized* protocol and not an
 //! accidental centralized approximation of it.
@@ -67,7 +68,8 @@ struct Device {
     heard_busy_at_1: bool,
     heard_idle_at_1: bool,
     transmitted: bool,
-    // Failed-claim concede (see `PairState` in dp.rs).
+    // Remark-4 concede: a staying upper candidate whose claim did not fit
+    // moves down iff a transmission starts at the next boundary.
     concede_armed: bool,
     concede_arm_next: bool,
     concedes: bool,
@@ -284,18 +286,19 @@ impl ReferenceNetwork {
         self.sigma = sigma;
     }
 
-    /// Runs one interval with an explicit candidate priority `c` (or none)
-    /// and explicit coin flips (`xi_up[n]` = ξ_n = +1), consuming channel
-    /// outcomes from `channel`.
+    /// Runs one interval with explicit candidate priorities (sorted upper
+    /// priorities `C`, pairwise non-adjacent; empty for none) and explicit
+    /// coin flips (`xi_up[n]` = ξ_n = +1), consuming channel outcomes from
+    /// `channel`.
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent input sizes or on a diverged handshake (a
-    /// protocol-correctness failure).
+    /// Panics on inconsistent input sizes, a malformed candidate set, or a
+    /// diverged handshake (a protocol-correctness failure).
     pub fn run_interval(
         &mut self,
         arrivals: &[u32],
-        candidate: Option<usize>,
+        candidates: &[usize],
         xi_up: &[bool],
         channel: &mut dyn LossModel,
         rng: &mut SimRng,
@@ -303,35 +306,38 @@ impl ReferenceNetwork {
         let n = self.sigma.len();
         assert_eq!(arrivals.len(), n, "one arrival count per link");
         assert_eq!(xi_up.len(), n, "one coin per link");
-        if let Some(c) = candidate {
+        for (i, &c) in candidates.iter().enumerate() {
             assert!(c >= 1 && c < n, "candidate priority out of range");
+            assert!(
+                i == 0 || c >= candidates[i - 1] + 2,
+                "candidates must be sorted and non-adjacent"
+            );
         }
 
         // Interval setup: every device derives its own backoff from its
-        // priority, its role, and the shared C (Eq. 6).
+        // priority, its role, and the shared C(k) (Eq. 6; each pair above
+        // a device shifts its counter by 2).
         let mut devices: Vec<Device> = (0..n)
             .map(|link| {
                 let sigma_n = self.sigma.priority_of(LinkId::new(link));
-                let (role, counter) = match candidate {
-                    Some(c) if sigma_n == c => {
-                        let stays = xi_up[link];
-                        let xi: i64 = if stays { 1 } else { -1 };
-                        (Role::Upper { stays }, (sigma_n as i64 - xi) as u64)
-                    }
-                    Some(c) if sigma_n == c + 1 => {
-                        let climbs = xi_up[link];
-                        let xi: i64 = if climbs { 1 } else { -1 };
-                        (Role::Lower { climbs }, (sigma_n as i64 - xi) as u64)
-                    }
-                    Some(c) => {
-                        let beta = if sigma_n < c {
-                            sigma_n as u64 - 1
+                let pair = candidates
+                    .iter()
+                    .position(|&c| c == sigma_n || c + 1 == sigma_n);
+                let (role, counter) = match pair {
+                    Some(j) => {
+                        let up = xi_up[link];
+                        let role = if candidates[j] == sigma_n {
+                            Role::Upper { stays: up }
                         } else {
-                            sigma_n as u64 + 1
+                            Role::Lower { climbs: up }
                         };
-                        (Role::Bystander, beta)
+                        let xi: i64 = if up { 1 } else { -1 };
+                        (role, (sigma_n as i64 - xi) as u64 + 2 * j as u64)
                     }
-                    None => (Role::Bystander, sigma_n as u64 - 1),
+                    None => {
+                        let above = candidates.iter().filter(|&&c| c + 1 < sigma_n).count();
+                        (Role::Bystander, (sigma_n - 1 + 2 * above) as u64)
+                    }
                 };
                 let is_candidate = !matches!(role, Role::Bystander);
                 Device::new(
@@ -452,8 +458,9 @@ impl ReferenceNetwork {
         });
 
         // Interval end: collect the devices' local decisions; they must be
-        // consistent by construction.
-        if let Some(c) = candidate {
+        // consistent by construction. The pairs are disjoint, so each swap
+        // leaves the others' priorities in place.
+        for &c in candidates {
             let hi = self.sigma.link_with_priority(c);
             let lo = self.sigma.link_with_priority(c + 1);
             let hi_dec = devices[hi.index()].decide();
@@ -464,9 +471,9 @@ impl ReferenceNetwork {
                 }
                 (SwapDecision::Stay, SwapDecision::Stay) => {}
                 // lint: allow(panic-macro) — this engine exists to
-                // differential-test DpEngine; a diverged handshake is the
-                // exact protocol bug it is built to detect, so it must
-                // abort the comparison run, not limp on.
+                // differential-test BatchedDpEngine; a diverged handshake
+                // is the exact protocol bug it is built to detect, so it
+                // must abort the comparison run, not limp on.
                 other => panic!("handshake diverged: {other:?}"),
             }
         }
@@ -481,7 +488,7 @@ impl ReferenceNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DpConfig, DpEngine};
+    use crate::{draw_nonadjacent_candidates, BatchedDpEngine, DpConfig, PairCoins};
     use proptest::prelude::*;
     use rand::Rng;
     use rtmac_phy::channel::Scripted;
@@ -501,6 +508,7 @@ mod tests {
     /// demands identical results.
     fn differential(
         n: usize,
+        pairs: usize,
         intervals: usize,
         deadline_us: u64,
         seed: u64,
@@ -509,22 +517,19 @@ mod tests {
         let mut meta_rng = seeds.rng(0);
         let mut dummy_rng = seeds.rng(1);
 
-        let mut engine = DpEngine::new(DpConfig::new(timing(deadline_us)), n);
+        let mut engine = BatchedDpEngine::new(DpConfig::new(timing(deadline_us)), n);
         let mut reference = ReferenceNetwork::new(timing(deadline_us), n);
 
         for k in 0..intervals {
             let arrivals: Vec<u32> = (0..n).map(|_| meta_rng.random_range(0..3)).collect();
-            let candidate = if n >= 2 {
-                Some(meta_rng.random_range(1..n))
-            } else {
-                None
-            };
+            let candidates = draw_nonadjacent_candidates(n, pairs, &mut meta_rng);
             let xi_up: Vec<bool> = (0..n).map(|_| meta_rng.random_bool(0.5)).collect();
-            // Extreme μ pins the engine's internal coin flips to xi_up.
-            let eps = 1e-12;
-            let mu: Vec<f64> = xi_up
+            let coins: Vec<PairCoins> = candidates
                 .iter()
-                .map(|&up| if up { 1.0 - eps } else { eps })
+                .map(|&c| PairCoins {
+                    hi_up: xi_up[engine.sigma().link_with_priority(c).index()],
+                    lo_up: xi_up[engine.sigma().link_with_priority(c + 1).index()],
+                })
                 .collect();
             // One shared scripted channel realization per interval.
             let script: Vec<Vec<bool>> = (0..n)
@@ -533,26 +538,25 @@ mod tests {
             let mut ch_a = Scripted::new(script.clone()).unwrap();
             let mut ch_b = Scripted::new(script).unwrap();
 
-            let fast = engine.run_interval_with_candidates(
-                &arrivals,
-                &mu,
-                candidate.as_slice(),
-                &mut ch_a,
-                &mut dummy_rng,
-            );
+            let fast =
+                engine.step_with_coins(&arrivals, &candidates, &coins, &mut ch_a, &mut dummy_rng);
             let slow =
-                reference.run_interval(&arrivals, candidate, &xi_up, &mut ch_b, &mut dummy_rng);
+                reference.run_interval(&arrivals, &candidates, &xi_up, &mut ch_b, &mut dummy_rng);
 
+            // Idle-slot counts differ at the interval end: the event loop
+            // schedules one more boundary after the last frame. Every
+            // other field must agree exactly.
+            let slow = IntervalOutcome {
+                idle_slots: fast.outcome.idle_slots,
+                ..slow
+            };
             prop_assert_eq!(
-                &fast.outcome.deliveries,
-                &slow.deliveries,
-                "deliveries diverged at interval {} (seed {})",
+                &fast.outcome,
+                &slow,
+                "outcomes diverged at interval {} (seed {})",
                 k,
                 seed
             );
-            prop_assert_eq!(&fast.outcome.attempts, &slow.attempts);
-            prop_assert_eq!(fast.outcome.empty_packets, slow.empty_packets);
-            prop_assert_eq!(&fast.outcome.latency_sum, &slow.latency_sum);
             prop_assert_eq!(
                 engine.sigma(),
                 reference.sigma(),
@@ -565,33 +569,39 @@ mod tests {
 
     #[test]
     fn matches_fast_engine_on_a_basic_interval() {
-        differential(4, 20, 5000, 7).unwrap();
+        differential(4, 1, 20, 5000, 7).unwrap();
     }
 
     #[test]
     fn matches_fast_engine_under_deadline_pressure() {
         // Tiny intervals exercise the Remark-4 and concede paths.
-        differential(5, 200, 900, 11).unwrap();
-        differential(3, 200, 400, 13).unwrap();
+        differential(5, 1, 200, 900, 11).unwrap();
+        differential(3, 1, 200, 400, 13).unwrap();
+    }
+
+    #[test]
+    fn matches_fast_engine_with_several_pairs() {
+        differential(9, 3, 100, 2000, 17).unwrap();
     }
 
     #[test]
     fn single_link_no_candidates() {
-        differential(1, 10, 2000, 3).unwrap();
+        differential(1, 1, 10, 2000, 3).unwrap();
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// The two implementations agree across random sizes, deadlines,
-        /// and seeds.
+        /// The two implementations agree across random sizes, pair
+        /// counts, deadlines, and seeds.
         #[test]
         fn prop_reference_equivalence(
             n in 1usize..7,
+            pairs in 0usize..3,
             deadline_us in 350u64..6000,
             seed in 0u64..10_000,
         ) {
-            differential(n, 40, deadline_us, seed)?;
+            differential(n, pairs, 40, deadline_us, seed)?;
         }
     }
 }

@@ -7,15 +7,15 @@
 //! committed swaps are annotated below.
 //!
 //! ```
-//! use rtmac_mac::{DpConfig, DpEngine, MacTiming, timeline};
+//! use rtmac_mac::{BatchedDpEngine, DpConfig, MacTiming, timeline};
 //! use rtmac_phy::{channel::Bernoulli, PhyProfile};
 //! use rtmac_sim::{Nanos, SeedStream};
 //!
 //! let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_millis(2), 100);
-//! let mut engine = DpEngine::new(DpConfig::new(timing.clone()).with_trace(true), 3);
+//! let mut engine = BatchedDpEngine::new(DpConfig::new(timing.clone()).with_trace(true), 3);
 //! let mut channel = Bernoulli::reliable(3);
 //! let mut rng = SeedStream::new(1).rng(0);
-//! let report = engine.run_interval(&[1, 1, 1], &[0.5; 3], &mut channel, &mut rng);
+//! let report = engine.step(&[1, 1, 1], &[0.5; 3], &mut channel, &mut rng);
 //! let art = timeline::render(&report.trace, &timing, 3, 60);
 //! assert!(art.contains("link#0"));
 //! assert!(art.contains('#'));
@@ -96,18 +96,18 @@ pub fn render(trace: &[TraceEvent], timing: &MacTiming, n_links: usize, columns:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DpConfig, DpEngine};
+    use crate::{BatchedDpEngine, DpConfig};
     use rtmac_phy::channel::Bernoulli;
     use rtmac_phy::PhyProfile;
     use rtmac_sim::SeedStream;
 
     fn traced_report(n: usize, arrivals: &[u32]) -> (crate::DpIntervalReport, MacTiming) {
         let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_millis(2), 100);
-        let mut engine = DpEngine::new(DpConfig::new(timing.clone()).with_trace(true), n);
+        let mut engine = BatchedDpEngine::new(DpConfig::new(timing.clone()).with_trace(true), n);
         let mut channel = Bernoulli::reliable(n);
         let mut rng = SeedStream::new(2).rng(0);
         let mu = vec![0.5; n];
-        let report = engine.run_interval(arrivals, &mu, &mut channel, &mut rng);
+        let report = engine.step(arrivals, &mu, &mut channel, &mut rng).clone();
         (report, timing)
     }
 

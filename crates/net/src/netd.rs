@@ -9,8 +9,6 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use rtmac::scenario::EngineSpec;
-
 use crate::error::NetError;
 use crate::node::{LinkNode, NodeConfig, NodeReport};
 use crate::scenario_file;
@@ -32,7 +30,6 @@ REQUIRED:
 OPTIONS:
     --intervals <n>          override the scenario's horizon
     --seed <n>               override the scenario's seed
-    --engine <timeline|batched>  override the DP interval kernel
     --realtime               pace intervals at the scenario deadline rate
     --timeout-ms <n>         peer-silence budget (default 30000)
     --report <file>          write a key=value measurement report
@@ -59,8 +56,6 @@ pub struct NetdOpts {
     pub intervals: Option<usize>,
     /// Seed override.
     pub seed: Option<u64>,
-    /// Engine override.
-    pub engine: Option<EngineSpec>,
     /// Pace intervals at the deadline rate.
     pub realtime: bool,
     /// Peer-silence budget.
@@ -97,7 +92,6 @@ pub fn parse(args: &[String]) -> Result<NetdOpts, NetError> {
         peers: Vec::new(),
         intervals: None,
         seed: None,
-        engine: None,
         realtime: false,
         timeout: Duration::from_secs(30),
         report: None,
@@ -126,17 +120,6 @@ pub fn parse(args: &[String]) -> Result<NetdOpts, NetError> {
                 opts.intervals = Some(parse_value("--intervals", &value("--intervals")?)?)
             }
             "--seed" => opts.seed = Some(parse_value("--seed", &value("--seed")?)?),
-            "--engine" => {
-                opts.engine = Some(match value("--engine")?.as_str() {
-                    "timeline" => EngineSpec::Timeline,
-                    "batched" => EngineSpec::Batched,
-                    other => {
-                        return Err(NetError::Config(format!(
-                            "unknown engine `{other}` (timeline, batched)"
-                        )))
-                    }
-                });
-            }
             "--realtime" => opts.realtime = true,
             "--timeout-ms" => {
                 opts.timeout =
@@ -179,9 +162,6 @@ pub fn run(opts: &NetdOpts) -> Result<NodeReport, NetError> {
     let mut sc = scenario_file::load(&opts.scenario)?;
     if let Some(seed) = opts.seed {
         sc = sc.with_seed(seed);
-    }
-    if let Some(engine) = opts.engine {
-        sc = sc.with_engine(engine);
     }
     let intervals = opts.intervals.unwrap_or(sc.intervals);
     let transport = UdpTransport::bind(&opts.bind, &opts.peers, opts.link, sc.links)?;
@@ -247,8 +227,6 @@ mod tests {
             "500",
             "--seed",
             "42",
-            "--engine",
-            "batched",
             "--realtime",
             "--timeout-ms",
             "1500",
@@ -259,7 +237,6 @@ mod tests {
         assert_eq!(opts.link, 3);
         assert_eq!(opts.intervals, Some(500));
         assert_eq!(opts.seed, Some(42));
-        assert_eq!(opts.engine, Some(EngineSpec::Batched));
         assert!(opts.realtime);
         assert_eq!(opts.timeout, Duration::from_millis(1500));
     }
@@ -274,6 +251,5 @@ mod tests {
     fn unknown_flags_and_bad_values_are_rejected() {
         assert!(parse(&args(&["--frobnicate"])).is_err());
         assert!(parse(&args(&["--link", "minus-one"])).is_err());
-        assert!(parse(&args(&["--engine", "warp"])).is_err());
     }
 }

@@ -22,7 +22,7 @@
 //!                          #   | dcf | frame-csma | frame-csma:slots=K | fixed
 //! intervals = 1000
 //! seed = 2018
-//! engine = timeline        # timeline | batched (optional)
+//! engine = timeline        # timeline | batched (optional, inert label)
 //! ```
 
 use rtmac::scenario::{by_name, EngineSpec, Param, Scenario, TrafficSpec};

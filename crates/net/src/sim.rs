@@ -175,9 +175,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_choice_does_not_move_the_fingerprint() {
-        // The batched kernel is bit-identical to the timeline engine, so
-        // the decision trace — built from engine outputs — must agree.
+    fn engine_label_does_not_move_the_fingerprint() {
+        // `Scenario::engine` is an inert label: one DP engine runs either
+        // way, so the decision trace must agree.
         let sc = scenario::by_name("control10").unwrap();
         let timeline = sim_trace(&sc, 50).unwrap();
         let batched = sim_trace(

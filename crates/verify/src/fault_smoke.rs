@@ -4,7 +4,7 @@
 //! reconvergence once the sensing noise stops.
 //!
 //! The exhaustive checker and [`mod@crate::smc`] certify the *pristine*
-//! engine: [`rtmac_mac::DpEngine`] with scripted channels. The degraded
+//! engine: [`rtmac_mac::BatchedDpEngine`] with scripted channels. The degraded
 //! engine ([`rtmac_mac::FaultyDpEngine`]) deliberately leaves the
 //! permutation invariant behind — belief vectors under sensing faults
 //! need not be bijections — so its survival properties are statistical,

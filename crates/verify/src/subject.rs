@@ -1,6 +1,6 @@
 //! The system under check.
 
-use rtmac_mac::{DpConfig, DpEngine, DpIntervalReport, MacTiming, PairCoins};
+use rtmac_mac::{BatchedDpEngine, DpConfig, DpIntervalReport, MacTiming, PairCoins};
 use rtmac_model::Permutation;
 use rtmac_phy::channel::LossModel;
 use rtmac_sim::SimRng;
@@ -9,7 +9,7 @@ use rtmac_sim::SimRng;
 /// every protocol decision injected.
 ///
 /// The production implementation is [`EngineSubject`] (the real
-/// [`DpEngine`]); the mutation-test harness in `crates/verify/tests`
+/// [`BatchedDpEngine`]); the mutation-test harness in `crates/verify/tests`
 /// implements deliberately faulty subjects to prove the checker catches
 /// each property violation with a replayable counterexample.
 pub trait Subject {
@@ -39,7 +39,7 @@ pub trait Subject {
 /// the empty-claim property can be read off the interval timeline.
 #[derive(Debug, Clone)]
 pub struct EngineSubject {
-    engine: DpEngine,
+    engine: BatchedDpEngine,
 }
 
 impl EngineSubject {
@@ -51,13 +51,13 @@ impl EngineSubject {
     #[must_use]
     pub fn new(timing: MacTiming, n_links: usize) -> Self {
         EngineSubject {
-            engine: DpEngine::new(DpConfig::new(timing).with_trace(true), n_links),
+            engine: BatchedDpEngine::new(DpConfig::new(timing).with_trace(true), n_links),
         }
     }
 
     /// The wrapped engine.
     #[must_use]
-    pub fn engine(&self) -> &DpEngine {
+    pub fn engine(&self) -> &BatchedDpEngine {
         &self.engine
     }
 }
@@ -84,7 +84,8 @@ impl Subject for EngineSubject {
         rng: &mut SimRng,
     ) -> DpIntervalReport {
         self.engine
-            .run_interval_with_coins(arrivals, candidates, coins, channel, rng)
+            .step_with_coins(arrivals, candidates, coins, channel, rng)
+            .clone()
     }
 }
 

@@ -7,7 +7,7 @@
 #![allow(dead_code)]
 
 use rtmac_mac::{
-    DpConfig, DpEngine, DpIntervalReport, FrameKind, MacTiming, PairCoins, TraceEvent,
+    BatchedDpEngine, DpConfig, DpIntervalReport, FrameKind, MacTiming, PairCoins, TraceEvent,
 };
 use rtmac_model::{AdjacentTransposition, Permutation};
 use rtmac_phy::channel::LossModel;
@@ -52,14 +52,14 @@ impl Fault {
 /// The real engine wrapped with one seeded fault.
 #[derive(Debug)]
 pub struct FaultySubject {
-    engine: DpEngine,
+    engine: BatchedDpEngine,
     fault: Fault,
 }
 
 impl FaultySubject {
     pub fn new(timing: MacTiming, n_links: usize, fault: Fault) -> Self {
         FaultySubject {
-            engine: DpEngine::new(DpConfig::new(timing).with_trace(true), n_links),
+            engine: BatchedDpEngine::new(DpConfig::new(timing).with_trace(true), n_links),
             fault,
         }
     }
@@ -92,7 +92,8 @@ impl Subject for FaultySubject {
     ) -> DpIntervalReport {
         let mut report = self
             .engine
-            .run_interval_with_coins(arrivals, candidates, coins, channel, rng);
+            .step_with_coins(arrivals, candidates, coins, channel, rng)
+            .clone();
         match self.fault {
             Fault::PhantomCollision => report.outcome.collisions += 1,
             Fault::DoubleCount => report.outcome.deliveries[0] += 1,
@@ -137,13 +138,13 @@ pub fn undrawn_swap(candidates: &[usize]) -> AdjacentTransposition {
 /// global sigma-liveness check can convict it.
 #[derive(Debug)]
 pub struct FrozenSigmaSubject {
-    engine: DpEngine,
+    engine: BatchedDpEngine,
 }
 
 impl FrozenSigmaSubject {
     pub fn new(timing: MacTiming, n_links: usize) -> Self {
         FrozenSigmaSubject {
-            engine: DpEngine::new(DpConfig::new(timing).with_trace(true), n_links),
+            engine: BatchedDpEngine::new(DpConfig::new(timing).with_trace(true), n_links),
         }
     }
 }
@@ -172,7 +173,8 @@ impl Subject for FrozenSigmaSubject {
         let before = self.engine.sigma().clone();
         let mut report = self
             .engine
-            .run_interval_with_coins(arrivals, candidates, coins, channel, rng);
+            .step_with_coins(arrivals, candidates, coins, channel, rng)
+            .clone();
         report.swaps.clear();
         self.engine.set_sigma(before);
         report

@@ -172,14 +172,14 @@ fn fixed_priority_profile_is_monotone_and_nonstarving() {
 /// internal debug assertions plus this permutation validity check.
 #[test]
 fn handshake_survives_deadline_pressure() {
-    use rtmac::mac::{DpConfig, DpEngine, MacTiming};
+    use rtmac::mac::{BatchedDpEngine, DpConfig, MacTiming};
     use rtmac::phy::{channel::Bernoulli, PhyProfile};
     use rtmac::sim::{Nanos, SeedStream};
 
     // Interval fits ~2 data frames (or a few empties): handshakes routinely
     // run out of time mid-way.
     let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_micros(700), 1500);
-    let mut engine = DpEngine::new(DpConfig::new(timing), 6);
+    let mut engine = BatchedDpEngine::new(DpConfig::new(timing), 6);
     let mut channel = Bernoulli::new(vec![0.6; 6]).unwrap();
     let seeds = SeedStream::new(10);
     let mut rng = seeds.rng(0);
@@ -188,8 +188,11 @@ fn handshake_survives_deadline_pressure() {
         use rand::Rng;
         let arrivals: Vec<u32> = (0..6).map(|_| arr.random_range(0..2)).collect();
         let mu: Vec<f64> = (0..6).map(|_| arr.random_range(0.05..0.95)).collect();
-        let report = engine.run_interval(&arrivals, &mu, &mut channel, &mut rng);
-        assert_eq!(report.outcome.collisions, 0);
+        let collisions = engine
+            .step(&arrivals, &mu, &mut channel, &mut rng)
+            .outcome
+            .collisions;
+        assert_eq!(collisions, 0);
         assert!(Permutation::from_priorities(engine.sigma().priorities().to_vec()).is_ok());
     }
 }
