@@ -1,6 +1,8 @@
 //! The end-to-end network simulator: arrivals → policy → debts → metrics.
 
-use rtmac_mac::{ChurnEvent, DpConfig, FaultyDpEngine, IntervalOutcome, MacTiming, RecoveryConfig};
+use rtmac_mac::{
+    BatchedDpEngine, ChurnEvent, DpConfig, IntervalOutcome, MacTiming, RecoveryConfig,
+};
 use rtmac_model::metrics::{ConvergenceTracker, DeficiencySeries};
 use rtmac_model::{ConfigError, DebtLedger, LinkId, NetworkConfig, Requirements};
 use rtmac_phy::channel::{Bernoulli, LossModel};
@@ -484,8 +486,8 @@ impl NetworkBuilder {
     }
 
     /// Injects carrier-sensing faults and link churn into the run. Only the
-    /// DB-DP policy supports fault injection (it switches to the degraded
-    /// [`FaultyDpEngine`] path); [`build`](Self::build) rejects the
+    /// DB-DP policy supports fault injection (it installs a fault layer on
+    /// its [`BatchedDpEngine`]); [`build`](Self::build) rejects the
     /// combination with any other policy.
     #[must_use]
     pub fn fault(mut self, fault: FaultSpec) -> Self {
@@ -498,8 +500,8 @@ impl NetworkBuilder {
     /// utilization threshold, and (when `spec.shed` is set) trims an
     /// overloaded admitted set lowest-debt-first. Requires fault injection
     /// — [`build`](Self::build) rejects admission without a
-    /// [`fault`](Self::fault) spec, because the degraded DB-DP engine is
-    /// the only substrate with churn events and administrative blocking.
+    /// [`fault`](Self::fault) spec, because the DB-DP engine's fault layer
+    /// is the only substrate with churn events and administrative blocking.
     #[must_use]
     pub fn admission(mut self, spec: AdmissionSpec) -> Self {
         self.admission = Some(spec);
@@ -686,7 +688,7 @@ impl NetworkBuilder {
                         seeds.rng(5),
                     );
                 }
-                let mut engine = FaultyDpEngine::new(
+                let mut engine = BatchedDpEngine::new(
                     DpConfig::new(timing).with_swap_pairs(swap_pairs),
                     config.n_links(),
                 )
@@ -767,7 +769,7 @@ impl NetworkBuilder {
                     }
                     engine = engine.with_churn_process(churn_process);
                 }
-                Box::new(DbDp::with_faults(
+                Box::new(DbDp::new(
                     engine,
                     influence,
                     r,

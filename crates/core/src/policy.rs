@@ -3,7 +3,7 @@
 
 use rtmac_mac::{
     BatchedDpEngine, CentralizedEngine, ChurnEvent, DcfConfig, DcfEngine, DpConfig, FaultStats,
-    FaultyDpEngine, FcsmaEngine, FcsmaQuantizer, FrameCsmaEngine, IntervalOutcome, MacTiming,
+    FcsmaEngine, FcsmaQuantizer, FrameCsmaEngine, IntervalOutcome, MacTiming,
 };
 use rtmac_model::influence::{DebtInfluence, Linear, PaperLog};
 use rtmac_model::{DebtLedger, LinkId, Permutation};
@@ -32,7 +32,7 @@ pub trait TransmissionPolicy {
 
     /// The current priority permutation, for policies that maintain one.
     /// Policies running in degraded mode (fault injection) return `None`
-    /// here: their per-link priority beliefs need not form a permutation.
+    /// while their per-link priority beliefs do not form a permutation.
     fn sigma(&self) -> Option<&Permutation> {
         None
     }
@@ -310,7 +310,7 @@ pub fn eq14_mu(influence: &dyn DebtInfluence, r: f64, d_plus: f64, p_n: f64) -> 
 /// feasibility-optimal (Theorem 1).
 #[derive(Debug)]
 pub struct DbDp {
-    driver: DpDriver,
+    engine: BatchedDpEngine,
     influence: Box<dyn DebtInfluence>,
     r: f64,
     p: Vec<f64>,
@@ -318,26 +318,10 @@ pub struct DbDp {
     name: String,
 }
 
-/// Which DP engine a [`DbDp`] policy drives: the pristine collision-free
-/// engine (the fault-free path) or the degraded-mode engine of the
-/// fault-injection experiments.
-#[derive(Debug)]
-enum DpDriver {
-    Batched(Box<BatchedDpEngine>),
-    Faulty(Box<FaultyDpEngine>),
-}
-
-impl DpDriver {
-    fn n_links(&self) -> usize {
-        match self {
-            DpDriver::Batched(e) => e.n_links(),
-            DpDriver::Faulty(e) => e.n_links(),
-        }
-    }
-}
-
 impl DbDp {
-    /// Wires a DP engine to debt-driven coin parameters.
+    /// Wires a DP engine to debt-driven coin parameters. An engine with a
+    /// fault layer (sensing faults, churn, recovery) runs the degraded
+    /// mode, and the policy name says so.
     ///
     /// # Panics
     ///
@@ -350,38 +334,17 @@ impl DbDp {
         r: f64,
         p: Vec<f64>,
     ) -> Self {
-        Self::with_driver(DpDriver::Batched(Box::new(engine)), influence, r, p)
-    }
-
-    /// Wires the *degraded-mode* DP engine (sensing faults, churn,
-    /// recovery) to the same debt-driven coin parameters. Panics as
-    /// [`DbDp::new`].
-    #[must_use]
-    pub fn with_faults(
-        engine: FaultyDpEngine,
-        influence: Box<dyn DebtInfluence>,
-        r: f64,
-        p: Vec<f64>,
-    ) -> Self {
-        Self::with_driver(DpDriver::Faulty(Box::new(engine)), influence, r, p)
-    }
-
-    fn with_driver(
-        driver: DpDriver,
-        influence: Box<dyn DebtInfluence>,
-        r: f64,
-        p: Vec<f64>,
-    ) -> Self {
         assert!(r.is_finite() && r > 0.0, "R must be positive and finite");
-        assert_eq!(p.len(), driver.n_links(), "one p_n per link");
+        assert_eq!(p.len(), engine.n_links(), "one p_n per link");
         let n = p.len();
-        let degraded = match driver {
-            DpDriver::Batched(_) => "",
-            DpDriver::Faulty(_) => ", degraded",
+        let degraded = if engine.is_degraded() {
+            ", degraded"
+        } else {
+            ""
         };
         let name = format!("DB-DP(f={}, R={r}{degraded})", influence.name());
         DbDp {
-            driver,
+            engine,
             influence,
             r,
             p,
@@ -397,23 +360,10 @@ impl DbDp {
         eq14_mu(self.influence.as_ref(), self.r, d_plus, p_n)
     }
 
-    /// The underlying pristine DP engine (e.g. to inspect `σ`); `None`
-    /// when the policy runs the degraded-mode engine.
+    /// The underlying DP engine (e.g. to inspect `σ` or the beliefs).
     #[must_use]
-    pub fn engine(&self) -> Option<&BatchedDpEngine> {
-        match &self.driver {
-            DpDriver::Batched(e) => Some(e),
-            DpDriver::Faulty(_) => None,
-        }
-    }
-
-    /// The underlying degraded-mode engine, when faults are injected.
-    #[must_use]
-    pub fn faulty_engine(&self) -> Option<&FaultyDpEngine> {
-        match &self.driver {
-            DpDriver::Batched(_) => None,
-            DpDriver::Faulty(e) => Some(e),
-        }
+    pub fn engine(&self) -> &BatchedDpEngine {
+        &self.engine
     }
 }
 
@@ -437,44 +387,27 @@ impl TransmissionPolicy for DbDp {
                 self.p[n],
             );
         }
-        match &mut self.driver {
-            DpDriver::Batched(engine) => engine
-                .step(arrivals, &self.mu_buf, channel, rng)
-                .outcome
-                .clone(),
-            DpDriver::Faulty(engine) => {
-                engine
-                    .run_interval(arrivals, &self.mu_buf, channel, rng)
-                    .outcome
-            }
-        }
+        self.engine
+            .step(arrivals, &self.mu_buf, channel, rng)
+            .outcome
+            .clone()
     }
 
     fn sigma(&self) -> Option<&Permutation> {
-        match &self.driver {
-            DpDriver::Batched(engine) => Some(engine.sigma()),
-            // Degraded mode: the belief multiset need not be a permutation.
-            DpDriver::Faulty(_) => None,
-        }
+        // Degraded mode: the beliefs need not form a permutation.
+        self.engine.is_bijective().then(|| self.engine.sigma())
     }
 
     fn fault_stats(&self) -> Option<FaultStats> {
-        match &self.driver {
-            DpDriver::Batched(_) => None,
-            DpDriver::Faulty(engine) => Some(engine.stats()),
-        }
+        self.engine.is_degraded().then(|| self.engine.stats())
     }
 
     fn drain_churn_events(&mut self, out: &mut Vec<ChurnEvent>) {
-        if let DpDriver::Faulty(engine) = &mut self.driver {
-            engine.drain_churn_events(out);
-        }
+        self.engine.drain_churn_events(out);
     }
 
     fn set_blocked(&mut self, link: usize, blocked: bool) {
-        if let DpDriver::Faulty(engine) = &mut self.driver {
-            engine.set_blocked(link, blocked);
-        }
+        self.engine.set_blocked(link, blocked);
     }
 }
 
@@ -779,7 +712,7 @@ mod tests {
         let mut link1_first = 0;
         for _ in 0..400 {
             let _ = policy.run_interval(&[1, 1], &debts, &mut ch, &mut rng);
-            let sigma = policy.engine().expect("pristine driver").sigma();
+            let sigma = policy.engine().sigma();
             if sigma.priority_of(LinkId::new(1)) == 1 {
                 link1_first += 1;
             }

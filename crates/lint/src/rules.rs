@@ -71,14 +71,13 @@ pub enum RuleKind {
 }
 
 /// Default hot-path roots for `hot-path-alloc`: the per-interval decision
-/// paths of the pristine and faulty DP engines (Algorithm 2 runs on every
-/// link in every interval, so these must stay allocation-free).
+/// paths of the DP engine, with or without its fault layer (Algorithm 2
+/// runs on every link in every interval, so these must stay
+/// allocation-free).
 pub const HOT_PATH_DEFAULT_ROOTS: &[&str] = &[
     "BatchedDpEngine::step",
     "BatchedDpEngine::step_with_candidates",
     "BatchedDpEngine::step_with_coins",
-    "FaultyDpEngine::run_interval",
-    "FaultyDpEngine::run_interval_with_candidates",
 ];
 
 /// A static rule definition. `lint.toml` can override severity, scope

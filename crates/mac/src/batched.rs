@@ -1,5 +1,5 @@
-//! The fault-free DP interval engine: Algorithm 2 in
-//! `O(min(N, deadline/slot))` work per interval.
+//! The DP interval engine: Algorithm 2 in `O(min(N, deadline/slot))`
+//! work per interval, with an optional fault layer for the degraded mode.
 //!
 //! # Walking priorities instead of slots
 //!
@@ -15,11 +15,12 @@
 //! `j` (upper priority `C`) occupy counters in `[C − 1 + 2j, C + 2 + 2j]`
 //! depending only on their private coins. Three structural facts follow:
 //!
-//! 1. **All counters are distinct** and a link with initial counter `c`
-//!    acts at slot boundary `k = c` (counters decrement once per processed
-//!    boundary after the first). Walking links in priority order — with a
-//!    local two-element sort inside each pair block — visits them in
-//!    strictly increasing counter order. No per-boundary scan is needed.
+//! 1. **A counter is a function of (priority, coin)**, injective and
+//!    increasing in the priority order, and a link with initial counter
+//!    `c` acts at slot boundary `k = c` (counters decrement once per
+//!    processed boundary after the first). Walking priorities `1..=N` —
+//!    with the pair blocks ordered by counter — visits the counters in
+//!    strictly increasing order. No per-boundary scan is needed.
 //! 2. **Idle gaps collapse**: between two consecutive actors the interval
 //!    advances by whole idle slots, so the walk jumps `gap` boundaries in
 //!    O(1) arithmetic (bounded by `⌈(deadline − t)/slot⌉` so the
@@ -31,6 +32,7 @@
 //!    check (boundary after a claim that did not fit) are resolved *after*
 //!    the walk as O(1) queries, guarded by the processed bound `B` (a
 //!    boundary the slot-by-slot run never reaches means "check never ran").
+//!    No check changes what the walk does, so resolving them late is exact.
 //!
 //! The kernel consumes the RNG in slot order — shared candidate draw,
 //! per-pair coins in candidate order, channel attempts in counter order —
@@ -41,12 +43,34 @@
 //! `tests/batched_equivalence.rs` pin the agreement, and golden
 //! fingerprints in the latter pin the decision trace itself.
 //!
+//! # The degraded mode
+//!
+//! The priority state is the per-link belief vector plus a holder index
+//! (priority → the links that believe it, in link order). Without a fault
+//! layer the beliefs are σ itself: one holder per priority. Once sensing
+//! faults, churn or a corrupted start break the bijection (see
+//! [`crate::RecoveryConfig`]), several links can believe the same priority
+//! and draw the same coin, and therefore share a counter. The walk treats
+//! all links at one counter as one boundary: nothing to send is an idle
+//! slot, one sender is the ordinary claim, and two or more senders are a
+//! modelled collision — every frame is lost, the medium is busy for the
+//! longest airtime, data frames cost one attempt each and no channel draw
+//! happens. Coins are drawn per pair for every up hi-believer in link
+//! order, then every up lo-believer in link order.
+//!
+//! The fault layer filters the post-walk sense checks (first the
+//! hidden-terminal ground truth, then [`FaultModel::sense`], in boundary
+//! and believer order), commits each believer's move, and applies the
+//! R1/R2 recovery rule. With zero-rate faults, no churn and no hidden
+//! terminals it replays the fault-free engine draw for draw.
+//!
 //! # Allocation discipline
 //!
-//! All working storage — the struct-of-arrays [`DpState`], the claim
-//! board, the reused [`DpIntervalReport`] — is owned by the engine; after
-//! a warm-up interval the hot path performs **zero heap allocations**
-//! (pinned by `tests/alloc_regression.rs` with a counting allocator).
+//! All working storage — the believer table, the claim board, the reused
+//! [`DpIntervalReport`] and the fault layer's index — is owned by the
+//! engine; after a warm-up interval the hot path performs **zero heap
+//! allocations** (pinned by `tests/alloc_regression.rs` with a counting
+//! allocator). Without a fault layer an interval does no `O(N)` pass.
 //! Trace mode is the documented exception: it buffers and sorts events and
 //! is meant for debugging, not the hot path.
 //!
@@ -54,52 +78,88 @@
 //!
 //! * `mu` values of non-candidate links are range-checked only in debug
 //!   builds: asserting all `N` per interval would be the dominant cost at
-//!   `N = 10 000`. The two candidate links' values are asserted in all
-//!   builds; no RNG draw depends on the difference.
-//! * Eq. 6's distinct counters are asserted in all builds. A repeated
-//!   counter would be a protocol bug, and it panics instead of silently
-//!   ending the interval. Modelled collisions live in
-//!   [`crate::FaultyDpEngine`].
+//!   `N = 10 000`. The candidate links' values are asserted in all builds;
+//!   no RNG draw depends on the difference.
+//! * Claimants must reach the walk in increasing counter order, asserted
+//!   in all builds.
 
 use rand::Rng;
 use rtmac_model::{AdjacentTransposition, LinkId, Permutation};
 use rtmac_phy::channel::LossModel;
+use rtmac_phy::fault::{ChurnProcess, FaultModel, HiddenMatrix};
 use rtmac_phy::{Medium, SenseBoard};
 use rtmac_sim::{Nanos, SimRng};
 
+use crate::degraded::FaultLayer;
 use crate::dp::{
     draw_nonadjacent_candidates_into, DpConfig, DpIntervalReport, FrameKind, PairCoins, TraceEvent,
 };
-use crate::{IntervalOutcome, MacTiming};
+use crate::{ChurnEvent, FaultStats, IntervalOutcome, MacTiming, RecoveryConfig};
 
-/// Sentinel for "no concede check armed" in [`DpState::pair_concede_at`].
+/// Sentinel for "no concede check armed" in [`Believer::concede_at`].
 const UNARMED: u64 = u64::MAX;
 
-/// Flat struct-of-arrays interval state, owned by the engine so the hot
-/// loop never allocates. There are no per-link `counter`/`role`/`done`
-/// vectors: per-pair facts live in parallel arrays indexed by pair,
-/// per-link facts are derived on the fly from the priority walk.
+/// Sentinel for "no clean claim heard" in [`DpState::pair_heard`].
+pub(crate) const NO_LINK: usize = usize::MAX;
+
+/// One link on one side of a drawn pair: a link whose belief is the
+/// pair's upper priority `C` (hi) or `C + 1` (lo).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Believer {
+    pub(crate) link: usize,
+    pub(crate) hi: bool,
+    /// hi: `ξ = −1`, wants to move down; lo: `ξ = +1`, wants to move up.
+    pub(crate) wants: bool,
+    /// Initial backoff counter (Eq. 6).
+    pub(crate) counter: u64,
+    /// lo only: began a transmission (Eq. 9's `R_i + R_j ≥ 1`).
+    pub(crate) sent: bool,
+    /// Boundary whose busy bit decides a staying hi's Remark-4 concede
+    /// ([`UNARMED`] unless its claim did not fit).
+    pub(crate) concede_at: u64,
+    /// The move the believer commits: hi down, lo up.
+    pub(crate) moves: bool,
+}
+
+impl Believer {
+    /// Records what the believer's claim at `counter` did. A believer
+    /// always has a frame (data, or Step 2's empty claim), so a silent
+    /// claim is one that no longer fit.
+    fn record(&mut self, claim: Claim, counter: u64, heard: &mut usize) {
+        match claim {
+            Claim::Clean | Claim::Collided if !self.hi => self.sent = true,
+            Claim::Clean => *heard = self.link,
+            // Remark 4: a *staying* hi whose claim no longer fits concedes
+            // iff a transmission starts at exactly the next boundary.
+            Claim::Silent if self.hi && !self.wants => self.concede_at = counter + 1,
+            _ => {}
+        }
+    }
+}
+
+/// Flat interval state, owned by the engine so the hot loop never
+/// allocates. There are no per-link `counter`/`role`/`done` vectors:
+/// per-believer facts live in one table, per-link facts are derived on the
+/// fly from the priority walk.
 #[derive(Debug, Clone, Default)]
 struct DpState {
     /// Upper priority `C` of pair `j` (sorted, pairwise non-adjacent).
     pair_c: Vec<usize>,
-    /// Link index holding priority `C`.
-    pair_hi: Vec<usize>,
-    /// Link index holding priority `C + 1`.
-    pair_lo: Vec<usize>,
-    /// Initial backoff counter of the hi member (Eq. 6).
-    pair_hi_counter: Vec<u64>,
-    /// Initial backoff counter of the lo member (Eq. 6).
-    pair_lo_counter: Vec<u64>,
-    /// `ξ_hi = −1`: hi wants to move down.
-    pair_hi_wants_down: Vec<bool>,
-    /// `ξ_lo = +1`: lo wants to move up.
-    pair_lo_wants_up: Vec<bool>,
-    /// lo actually began a transmission (Eq. 9's `R_i + R_j ≥ 1`).
-    pair_lo_transmitted: Vec<bool>,
-    /// Boundary whose busy bit decides hi's Remark-4 concede ([`UNARMED`]
-    /// when hi's claim fitted or hi wanted down anyway).
-    pair_concede_at: Vec<u64>,
+    /// Pair `j`'s believers are `believers[pair_start[j]..pair_start[j + 1]]`.
+    pair_start: Vec<usize>,
+    /// The last hi believer of pair `j` whose claim went out clean — the
+    /// claim R2's lo side listens for — or [`NO_LINK`].
+    pair_heard: Vec<usize>,
+    /// Every pair's believers, in walk order: pair, counter, link.
+    believers: Vec<Believer>,
+    /// Sense checks to resolve after the walk: `(boundary, link, believer)`.
+    checks: Vec<(u64, usize, usize)>,
+    /// Fault layer only: `(boundary, link)` of every frame start, in
+    /// boundary order.
+    starts: Vec<(u64, usize)>,
+    /// Links starting a frame at a shared boundary, and their airtimes.
+    started: Vec<usize>,
+    airtimes: Vec<Nanos>,
     /// Bit-per-boundary transmission-start record.
     board: SenseBoard,
     /// The drawn candidate set (reused buffer).
@@ -118,6 +178,27 @@ struct DpState {
     seen: Vec<bool>,
 }
 
+/// The links that believe each priority, in link order.
+#[derive(Clone, Copy)]
+pub(crate) enum Holders<'a> {
+    /// σ's inverse map: exactly one holder per priority.
+    Sigma(&'a [usize]),
+    /// The fault layer's index over the links that are up.
+    Beliefs {
+        start: &'a [usize],
+        links: &'a [usize],
+    },
+}
+
+impl<'a> Holders<'a> {
+    fn of(self, p: usize) -> &'a [usize] {
+        match self {
+            Holders::Sigma(links) => &links[p - 1..p],
+            Holders::Beliefs { start, links } => &links[start[p]..start[p + 1]],
+        }
+    }
+}
+
 /// Where an interval's coin flips come from: drawn from `μ` (Eq. 5) or
 /// injected verbatim, one [`PairCoins`] per drawn candidate pair.
 #[derive(Clone, Copy)]
@@ -127,15 +208,17 @@ enum CoinSource<'a> {
 }
 
 /// What happened at a claimant's action boundary.
+#[derive(Clone, Copy)]
 enum Claim {
     /// The deadline was reached before the claimant acted.
     Stopped,
-    /// Nothing to send (no data, no pending empty claim); idle boundary.
-    Idle,
-    /// The frame no longer fit before the deadline (Remark 4).
-    NoFit,
-    /// A transmission started at the claimant's boundary.
-    Transmitted,
+    /// Nothing started: no data and no pending empty claim, or the frame
+    /// no longer fit before the deadline (Remark 4).
+    Silent,
+    /// The claimant's frames went out alone (Step 6).
+    Clean,
+    /// The claimant's frame collided with others started with it.
+    Collided,
 }
 
 /// The walking state of one interval: current time, next unprocessed
@@ -150,17 +233,46 @@ struct Walk<'a> {
     board: &'a mut SenseBoard,
     outcome: &'a mut IntervalOutcome,
     touched: &'a mut Vec<usize>,
+    started: &'a mut Vec<usize>,
+    airtimes: &'a mut Vec<Nanos>,
+    /// Fault layer only: the per-boundary log of frame starts.
+    starts: Option<&'a mut Vec<(u64, usize)>>,
     trace: Option<TraceRec<'a>>,
     medium: Medium,
     t: Nanos,
     next_boundary: u64,
-    stopped: bool,
 }
 
 /// Trace-mode sinks (separate struct so the hot path carries one `Option`).
 struct TraceRec<'a> {
     events: &'a mut Vec<(u64, u32, TraceEvent)>,
     times: &'a mut Vec<Nanos>,
+}
+
+impl TraceRec<'_> {
+    fn frame(&mut self, boundary: u64, seq: u32, link: usize, at: Nanos, kind: FrameKind) {
+        self.events.push((
+            boundary,
+            seq,
+            TraceEvent::TxStart {
+                link: LinkId::new(link),
+                at,
+                kind,
+            },
+        ));
+    }
+
+    fn frame_end(&mut self, boundary: u64, seq: u32, link: usize, at: Nanos, delivered: bool) {
+        self.events.push((
+            boundary,
+            seq,
+            TraceEvent::TxEnd {
+                link: LinkId::new(link),
+                at,
+                delivered,
+            },
+        ));
+    }
 }
 
 impl Walk<'_> {
@@ -176,31 +288,21 @@ impl Walk<'_> {
         self.next_boundary += count;
     }
 
-    /// Processes the current boundary as idle (claimant had nothing to
-    /// send, or its frame did not fit).
-    fn idle_boundary(&mut self) {
-        self.advance_idle(1);
-    }
-
-    /// Advances to boundary `counter` and lets `link` act there.
-    ///
-    /// `pending_empty` is Step 2's flag: the link is a swap candidate
-    /// with no arrivals, so it claims its backoff slot with an empty frame.
+    /// Advances through the idle gap to boundary `counter`. Returns
+    /// `false` when the deadline stops the interval first.
     ///
     /// # Panics
     ///
-    /// Panics if `counter` repeats or precedes an earlier claimant's: Eq. 6
-    /// makes the counters distinct, and the walk visits them in order.
-    fn claim(&mut self, link: usize, counter: u64, pending_empty: bool) -> Claim {
-        debug_assert!(!self.stopped, "claim after deadline stop");
+    /// Panics if `counter` precedes an earlier claimant's: the walk visits
+    /// counters in increasing order.
+    fn reach(&mut self, counter: u64) -> bool {
         assert!(
             counter >= self.next_boundary,
-            "claimants must arrive in distinct, increasing counter order"
+            "claimants must arrive in increasing counter order"
         );
         // A boundary where t >= deadline is never processed.
         if self.t >= self.deadline {
-            self.stopped = true;
-            return Claim::Stopped;
+            return false;
         }
         // Idle gap: every boundary strictly before `counter` belongs to no
         // remaining claimant, so each processed one adds exactly one idle
@@ -212,43 +314,99 @@ impl Walk<'_> {
         let m = remaining / self.slot + u64::from(!(remaining % self.slot).is_zero());
         if gap >= m {
             self.advance_idle(m);
-            self.stopped = true;
-            return Claim::Stopped;
+            return false;
         }
         self.advance_idle(gap);
         // Boundary `counter` is processed (t < deadline holds because
         // gap ≤ m − 1).
-        let has_data = self.arrivals[link] > 0;
-        if !has_data && !pending_empty {
-            self.idle_boundary();
-            return Claim::Idle;
-        }
-        let airtime = if has_data {
-            self.timing.data_airtime_for(link)
-        } else {
-            self.timing.empty_airtime()
-        };
-        if !self.timing.fits(self.t, airtime) {
-            // Remark 4: not enough time left — idle out the interval.
-            self.idle_boundary();
-            return Claim::NoFit;
-        }
+        true
+    }
 
-        // Transmission boundary: record the claim bit, then hold the
-        // medium back-to-back (Step 6).
-        assert!(
-            !self.board.busy_at(counter as usize),
-            "two claimants at boundary {counter}: DP counters must be distinct"
-        );
+    /// The airtime of the frame `link` starts at the current boundary, if
+    /// it has one that fits. `pending_empty` is Step 2's flag: the link is
+    /// a swap candidate with no arrivals, so it claims its backoff slot
+    /// with an empty frame.
+    fn frame(&self, link: usize, pending_empty: bool) -> Option<Nanos> {
+        let airtime = if self.arrivals[link] > 0 {
+            self.timing.data_airtime_for(link)
+        } else if pending_empty {
+            self.timing.empty_airtime()
+        } else {
+            return None;
+        };
+        // Remark 4: a frame that no longer fits idles out the interval.
+        self.timing.fits(self.t, airtime).then_some(airtime)
+    }
+
+    /// Advances to boundary `counter` and lets `link` act there alone.
+    fn claim(&mut self, link: usize, counter: u64, pending_empty: bool) -> Claim {
+        if !self.reach(counter) {
+            return Claim::Stopped;
+        }
+        match self.frame(link, pending_empty) {
+            Some(airtime) => {
+                self.send(link, counter, airtime);
+                Claim::Clean
+            }
+            None => {
+                self.advance_idle(1);
+                Claim::Silent
+            }
+        }
+    }
+
+    /// Advances to boundary `counter` and lets every link of `links` act
+    /// there: each whose frame fits starts it. One start is a clean claim;
+    /// two or more collide. Returns `false` when the deadline stops the
+    /// interval first; otherwise `self.started` holds the starters.
+    fn crowd(
+        &mut self,
+        counter: u64,
+        links: impl Iterator<Item = usize>,
+        candidates: bool,
+    ) -> bool {
+        if !self.reach(counter) {
+            return false;
+        }
+        self.started.clear();
+        self.airtimes.clear();
+        for link in links {
+            if let Some(airtime) = self.frame(link, candidates && self.arrivals[link] == 0) {
+                self.started.push(link);
+                self.airtimes.push(airtime);
+            }
+        }
+        match self.started.len() {
+            0 => self.advance_idle(1),
+            1 => {
+                let (link, airtime) = (self.started[0], self.airtimes[0]);
+                self.send(link, counter, airtime);
+            }
+            _ => self.collide(counter),
+        }
+        true
+    }
+
+    /// Records a frame start at boundary `counter`.
+    fn record_start(&mut self, counter: u64, link: usize) {
+        if let Some(starts) = &mut self.starts {
+            starts.push((counter, link));
+        }
+    }
+
+    /// `link` holds the medium back-to-back from boundary `counter`
+    /// (Step 6): data frames until its buffer drains or the next no longer
+    /// fits, or one empty claim.
+    fn send(&mut self, link: usize, counter: u64, airtime: Nanos) {
         self.board.record_start(counter as usize);
+        self.record_start(counter, link);
         if let Some(tr) = &mut self.trace {
             tr.times.push(self.t);
         }
         let mut now = self.t;
         let mut seq: u32 = 1;
-        if has_data {
-            debug_assert!(!pending_empty, "pending empty claims require zero arrivals");
-            let mut data = self.arrivals[link];
+        let mut data = self.arrivals[link];
+        if data > 0 {
             self.touched.push(link);
             while data > 0 && self.timing.fits(now, airtime) {
                 let tx = self.medium.transmit(now, &[airtime]);
@@ -260,24 +418,8 @@ impl Walk<'_> {
                     self.outcome.latency_sum[link] += tx.ends_at;
                 }
                 if let Some(tr) = &mut self.trace {
-                    tr.events.push((
-                        counter,
-                        seq,
-                        TraceEvent::TxStart {
-                            link: LinkId::new(link),
-                            at: now,
-                            kind: FrameKind::Data,
-                        },
-                    ));
-                    tr.events.push((
-                        counter,
-                        seq + 1,
-                        TraceEvent::TxEnd {
-                            link: LinkId::new(link),
-                            at: tx.ends_at,
-                            delivered,
-                        },
-                    ));
+                    tr.frame(counter, seq, link, now, FrameKind::Data);
+                    tr.frame_end(counter, seq + 1, link, tx.ends_at, delivered);
                     seq += 2;
                 }
                 now = tx.ends_at;
@@ -286,47 +428,64 @@ impl Walk<'_> {
             let tx = self.medium.transmit(now, &[airtime]);
             self.outcome.empty_packets += 1;
             if let Some(tr) = &mut self.trace {
-                tr.events.push((
-                    counter,
-                    seq,
-                    TraceEvent::TxStart {
-                        link: LinkId::new(link),
-                        at: now,
-                        kind: FrameKind::Empty,
-                    },
-                ));
-                tr.events.push((
-                    counter,
-                    seq + 1,
-                    TraceEvent::TxEnd {
-                        link: LinkId::new(link),
-                        at: tx.ends_at,
-                        delivered: false,
-                    },
-                ));
+                tr.frame(counter, seq, link, now, FrameKind::Empty);
+                tr.frame_end(counter, seq + 1, link, tx.ends_at, false);
             }
             now = tx.ends_at;
         }
         self.t = now + self.slot; // one idle slot before the next boundary
         self.next_boundary = counter + 1;
-        Claim::Transmitted
+    }
+
+    /// The links of `self.started` collide at boundary `counter`: every
+    /// frame is lost, the medium is busy for the longest airtime, each data
+    /// frame costs one attempt and no channel draw happens.
+    fn collide(&mut self, counter: u64) {
+        self.board.record_start(counter as usize);
+        if let Some(tr) = &mut self.trace {
+            tr.times.push(self.t);
+        }
+        let tx = self.medium.transmit(self.t, &self.airtimes[..]);
+        for i in 0..self.started.len() {
+            let link = self.started[i];
+            let kind = if self.arrivals[link] > 0 {
+                self.outcome.attempts[link] += 1;
+                self.touched.push(link);
+                FrameKind::Data
+            } else {
+                self.outcome.empty_packets += 1;
+                FrameKind::Empty
+            };
+            self.record_start(counter, link);
+            if let Some(tr) = &mut self.trace {
+                let seq = 2 * i as u32 + 1;
+                tr.frame(counter, seq, link, self.t, kind);
+                tr.frame_end(counter, seq + 1, link, tx.ends_at, false);
+            }
+        }
+        self.t = tx.ends_at + self.slot;
+        self.next_boundary = counter + 1;
     }
 }
 
-/// The DP protocol engine (Algorithm 2). Persists the priority
-/// permutation `σ` across intervals; everything else is per-interval
-/// state, `O(min(N, deadline/slot))` work per interval.
+/// The DP protocol engine (Algorithm 2). Persists the priority state
+/// across intervals; everything else is per-interval state,
+/// `O(min(N, deadline/slot))` work per interval. An optional fault layer
+/// (sensing faults, churn, hidden terminals, administrative blocking and
+/// the R1/R2 recovery rule) runs the degraded mode on the same walk; any
+/// `with_*` fault builder or `set_*` fault hook installs it.
 ///
 /// # Example
 ///
 /// ```
 /// use rtmac_mac::{BatchedDpEngine, DpConfig, MacTiming};
 /// use rtmac_phy::channel::Bernoulli;
+/// use rtmac_phy::fault::FaultModel;
 /// use rtmac_phy::PhyProfile;
 /// use rtmac_sim::{Nanos, SeedStream};
 ///
 /// let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_millis(2), 100);
-/// let mut engine = BatchedDpEngine::new(DpConfig::new(timing), 4);
+/// let mut engine = BatchedDpEngine::new(DpConfig::new(timing.clone()), 4);
 /// let mut channel = Bernoulli::reliable(4);
 /// let mut rng = SeedStream::new(7).rng(0);
 /// // One packet per link, neutral coins: everything is delivered
@@ -334,20 +493,32 @@ impl Walk<'_> {
 /// let report = engine.step(&[1, 1, 1, 1], &[0.5; 4], &mut channel, &mut rng);
 /// assert_eq!(report.outcome.total_deliveries(), 4);
 /// assert_eq!(report.outcome.collisions, 0);
+///
+/// // The degraded mode: sensing errors desynchronize the views, and
+/// // recovery heals them. Whatever happens, beliefs stay inside 1..=N.
+/// let mut engine = BatchedDpEngine::new(DpConfig::new(timing), 4)
+///     .with_fault_model(FaultModel::symmetric(0.2, SeedStream::new(7).rng(3)));
+/// for _ in 0..50 {
+///     let _ = engine.step(&[1, 1, 1, 1], &[0.5; 4], &mut channel, &mut rng);
+/// }
+/// assert!(engine.beliefs().iter().all(|&b| (1..=4).contains(&b)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct BatchedDpEngine {
     config: DpConfig,
+    /// The priority permutation; exact whenever the beliefs are a
+    /// bijection, and the whole priority state without a fault layer.
     sigma: Permutation,
+    fault: Option<Box<FaultLayer>>,
     state: DpState,
     report: DpIntervalReport,
 }
 
 impl BatchedDpEngine {
     /// Creates an engine for `n_links` links with the identity priority
-    /// ordering. Buffers whose size varies between intervals are sized
-    /// here; the per-pair arrays grow to their fixed size on the first
-    /// step, so stepping allocates nothing after that.
+    /// ordering and no fault layer. Buffers whose size varies between
+    /// intervals are sized here; the per-pair arrays grow to their fixed
+    /// size on the first step, so stepping allocates nothing after that.
     ///
     /// # Panics
     ///
@@ -372,6 +543,7 @@ impl BatchedDpEngine {
         BatchedDpEngine {
             config,
             sigma: Permutation::identity(n_links),
+            fault: None,
             state,
             report: DpIntervalReport {
                 outcome: IntervalOutcome::empty(n_links),
@@ -382,13 +554,15 @@ impl BatchedDpEngine {
         }
     }
 
-    /// The current priority permutation `σ(k−1)`.
+    /// The priority permutation `σ(k−1)`. Exact whenever the beliefs form
+    /// a bijection (always, without faults); otherwise the last bijective
+    /// state.
     #[must_use]
     pub fn sigma(&self) -> &Permutation {
         &self.sigma
     }
 
-    /// Overrides the priority permutation.
+    /// Overrides the priority permutation (and with it the beliefs).
     ///
     /// # Panics
     ///
@@ -399,6 +573,10 @@ impl BatchedDpEngine {
             self.sigma.len(),
             "permutation size must match link count"
         );
+        if let Some(f) = &mut self.fault {
+            f.beliefs.copy_from_slice(sigma.priorities());
+            f.bijective = true;
+        }
         self.sigma = sigma;
     }
 
@@ -412,6 +590,167 @@ impl BatchedDpEngine {
     #[must_use]
     pub fn config(&self) -> &DpConfig {
         &self.config
+    }
+
+    /// The fault layer, installed on first use with perfect sensing, no
+    /// churn, no hidden terminals, the default [`RecoveryConfig`] and the
+    /// current σ as every link's belief.
+    fn layer(&mut self) -> &mut FaultLayer {
+        let sigma = &self.sigma;
+        self.fault
+            .get_or_insert_with(|| Box::new(FaultLayer::new(sigma.priorities())))
+    }
+
+    /// Installs a sensing-fault model.
+    #[must_use]
+    pub fn with_fault_model(mut self, fault: FaultModel) -> Self {
+        self.set_fault_model(fault);
+        self
+    }
+
+    /// Installs a churn process (scripted events, flash crowds, Poisson
+    /// crash/revive).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the process link count differs from the engine's.
+    #[must_use]
+    pub fn with_churn_process(mut self, churn: ChurnProcess) -> Self {
+        assert_eq!(
+            churn.n_links(),
+            self.n_links(),
+            "churn process link count mismatch"
+        );
+        self.layer().churn = Some(churn);
+        self
+    }
+
+    /// Installs an asymmetric hidden-terminal matrix: each listener's
+    /// carrier-sense observations (and R2 claim hearing) ignore
+    /// transmitters hidden from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix link count differs from the engine's.
+    #[must_use]
+    pub fn with_hidden(mut self, hidden: HiddenMatrix) -> Self {
+        assert_eq!(
+            hidden.n_links(),
+            self.n_links(),
+            "hidden matrix link count mismatch"
+        );
+        self.layer().hidden = Some(hidden);
+        self
+    }
+
+    /// Overrides the recovery rule.
+    #[must_use]
+    pub fn with_recovery(mut self, recovery: RecoveryConfig) -> Self {
+        self.layer().set_recovery(recovery);
+        self
+    }
+
+    /// Replaces the sensing-fault model mid-run (e.g. stop injecting
+    /// errors and watch recovery heal the views). Flip counts of the
+    /// outgoing model are preserved in [`BatchedDpEngine::stats`].
+    pub fn set_fault_model(&mut self, fault: FaultModel) {
+        self.layer().set_model(fault);
+    }
+
+    /// Administratively blocks or unblocks a link. A blocked link behaves
+    /// exactly like a crashed one — it neither transmits, senses, nor
+    /// updates its belief — until unblocked. This is the admission
+    /// controller's shedding hook.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `link` is out of range.
+    pub fn set_blocked(&mut self, link: usize, blocked: bool) {
+        assert!(link < self.n_links(), "blocked link out of range");
+        self.layer().set_blocked(link, blocked);
+    }
+
+    /// Whether `link` is currently administratively blocked.
+    #[must_use]
+    pub fn is_blocked(&self, link: usize) -> bool {
+        self.fault.as_ref().is_some_and(|f| f.is_blocked(link))
+    }
+
+    /// Moves all churn transitions (crashes and revivals) recorded since
+    /// the last drain into `out`, oldest first. The admission layer calls
+    /// this after each interval to learn about joiners and leavers.
+    pub fn drain_churn_events(&mut self, out: &mut Vec<ChurnEvent>) {
+        if let Some(f) = &mut self.fault {
+            f.drain_churn_events(out);
+        }
+    }
+
+    /// The churn process, if any.
+    #[must_use]
+    pub fn churn_process(&self) -> Option<&ChurnProcess> {
+        self.fault.as_ref().and_then(|f| f.churn.as_ref())
+    }
+
+    /// Whether a fault layer is installed (the degraded mode).
+    #[must_use]
+    pub fn is_degraded(&self) -> bool {
+        self.fault.is_some()
+    }
+
+    /// The per-link priority beliefs (`beliefs()[n]` is what link `n`
+    /// thinks its own priority is); σ's priorities without a fault layer.
+    #[must_use]
+    pub fn beliefs(&self) -> &[usize] {
+        match &self.fault {
+            Some(f) => &f.beliefs,
+            None => self.sigma.priorities(),
+        }
+    }
+
+    /// Overrides the belief vector — the hook for starting from a
+    /// corrupted multiset (duplicates and holes allowed). Installs the
+    /// fault layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the length differs from the link count or any value falls
+    /// outside `1..=N`.
+    pub fn set_beliefs(&mut self, beliefs: Vec<usize>) {
+        let n = self.n_links();
+        assert_eq!(beliefs.len(), n, "belief vector size must match link count");
+        for (link, &b) in beliefs.iter().enumerate() {
+            assert!(
+                (1..=n).contains(&b),
+                "belief {b} of link {link} outside 1..={n}"
+            );
+        }
+        let bijective = self.sigma.assign_priorities(&beliefs).is_ok();
+        self.layer().set_beliefs(beliefs, bijective);
+    }
+
+    /// Whether the beliefs currently form a bijection of `1..=N`.
+    #[must_use]
+    pub fn is_bijective(&self) -> bool {
+        self.fault.as_ref().is_none_or(|f| f.bijective)
+    }
+
+    /// Cumulative fault/recovery counters (all zero without a fault
+    /// layer).
+    #[must_use]
+    pub fn stats(&self) -> FaultStats {
+        self.fault
+            .as_ref()
+            .map_or_else(FaultStats::default, |f| f.stats())
+    }
+
+    /// The per-link R2 miss limits currently in force (empty without a
+    /// fault layer).
+    #[must_use]
+    pub fn r2_limits(&self) -> &[u32] {
+        match &self.fault {
+            Some(f) => &f.r2_limit,
+            None => &[],
+        }
     }
 
     /// Runs one interval of the DP protocol (Steps 1–7 of Algorithm 2),
@@ -429,8 +768,7 @@ impl BatchedDpEngine {
     ///
     /// Panics if `arrivals`, `mu`, or the channel's link count disagree
     /// with the engine's, or (candidate links always, every link in debug
-    /// builds) if some `μ_n ∉ (0, 1)`. Also panics if two links ever share
-    /// a backoff counter, which Eq. 6 rules out for every valid input.
+    /// builds) if some `μ_n ∉ (0, 1)`.
     pub fn step(
         &mut self,
         arrivals: &[u32],
@@ -464,9 +802,10 @@ impl BatchedDpEngine {
     /// Runs one interval with both the candidate draw *and* the private
     /// coin flips injected — every random protocol decision except the
     /// channel made explicit. `coins[j]` gives the ξ outcomes of pair
-    /// `candidates[j]`; `rng` is only consumed by the channel model.
-    /// This is the model checker's entry point: it enumerates all
-    /// `(candidates, coins, channel)` combinations exhaustively.
+    /// `candidates[j]` (every believer of a side flips the same coin);
+    /// `rng` is only consumed by the channel model. This is the model
+    /// checker's entry point: it enumerates all `(candidates, coins,
+    /// channel)` combinations exhaustively.
     ///
     /// # Panics
     ///
@@ -519,6 +858,7 @@ impl BatchedDpEngine {
         let Self {
             config,
             sigma,
+            fault,
             state,
             report,
         } = self;
@@ -526,14 +866,13 @@ impl BatchedDpEngine {
         let tracing = config.trace();
         let DpState {
             pair_c,
-            pair_hi,
-            pair_lo,
-            pair_hi_counter,
-            pair_lo_counter,
-            pair_hi_wants_down,
-            pair_lo_wants_up,
-            pair_lo_transmitted,
-            pair_concede_at,
+            pair_start,
+            pair_heard,
+            believers,
+            checks,
+            starts,
+            started,
+            airtimes,
             board,
             candidates,
             draw_pool,
@@ -561,6 +900,30 @@ impl BatchedDpEngine {
         board.reset();
         trace_tmp.clear();
         boundary_times.clear();
+        pair_c.clear();
+        pair_start.clear();
+        pair_heard.clear();
+        believers.clear();
+        checks.clear();
+        starts.clear();
+        started.clear();
+        airtimes.clear();
+        if let Some(f) = fault.as_deref_mut() {
+            // Advance the fault processes, find who is down, and index
+            // the beliefs of the links that are up. Corrupted beliefs can
+            // put every link on one side of a pair, so the per-believer
+            // buffers are sized for all of them once.
+            f.begin_interval();
+            believers.reserve(n);
+            checks.reserve(n);
+            starts.reserve(n);
+            started.reserve(n);
+            airtimes.reserve(n);
+        }
+        let holders = match fault.as_deref() {
+            Some(f) => f.holders(),
+            None => Holders::Sigma(sigma.link_indices()),
+        };
 
         // ------------------------------------- Step 1: candidate draw
         match inject {
@@ -584,76 +947,59 @@ impl BatchedDpEngine {
         report.candidates.extend_from_slice(candidates);
 
         // ------------------ Steps 2–4: coins and counters, per pair.
-        // Coins are drawn in candidate order, hi before lo (Eq. 5),
-        // unless injected verbatim.
-        pair_c.clear();
-        pair_hi.clear();
-        pair_lo.clear();
-        pair_hi_counter.clear();
-        pair_lo_counter.clear();
-        pair_hi_wants_down.clear();
-        pair_lo_wants_up.clear();
-        pair_lo_transmitted.clear();
-        pair_concede_at.clear();
+        // Coins are drawn in candidate order: every hi believer in link
+        // order, then every lo believer (Eq. 5), unless injected verbatim.
+        // Each pair's believers are then put in walk order: by counter
+        // (Eq. 6: `belief − ξ`, plus 2 per earlier pair), then link.
         for (j, &c) in candidates.iter().enumerate() {
-            let hi = sigma.link_with_priority(c).index();
-            let lo = sigma.link_with_priority(c + 1).index();
-            let (xi_hi_up, xi_lo_up) = match coins {
-                CoinSource::Mu(mu) => {
-                    for link in [hi, lo] {
-                        let m = mu[link];
-                        assert!(m > 0.0 && m < 1.0, "mu[{link}] = {m} must lie in (0, 1)");
-                    }
-                    (rng.random_bool(mu[hi]), rng.random_bool(mu[lo]))
-                }
-                CoinSource::Fixed(flips) => (flips[j].hi_up, flips[j].lo_up),
-            };
-            let hi_wants_down = !xi_hi_up;
-            let lo_wants_up = xi_lo_up;
-            let off = 2 * j as u64;
-            // Eq. 6: counter = σ_n − ξ (+ 2 per completed earlier pair).
-            let hi_counter = if hi_wants_down {
-                c as u64 + 1 + off
-            } else {
-                c as u64 - 1 + off
-            };
-            let lo_counter = if lo_wants_up {
-                c as u64 + off
-            } else {
-                c as u64 + 2 + off
-            };
+            let first = believers.len();
             pair_c.push(c);
-            pair_hi.push(hi);
-            pair_lo.push(lo);
-            pair_hi_counter.push(hi_counter);
-            pair_lo_counter.push(lo_counter);
-            pair_hi_wants_down.push(hi_wants_down);
-            pair_lo_wants_up.push(lo_wants_up);
-            pair_lo_transmitted.push(false);
-            pair_concede_at.push(UNARMED);
-        }
-        let n_pairs = pair_c.len();
-
-        // Trace mode: every link's BackoffSet comes first, in link order.
-        // O(N · pairs) here is fine — trace mode is explicitly off the hot
-        // path.
-        if tracing {
-            for link in 0..n {
-                let sigma_n = sigma.priority_of(LinkId::new(link));
-                let mut counter = None;
-                for j in 0..n_pairs {
-                    if pair_hi[j] == link {
-                        counter = Some(pair_hi_counter[j]);
-                    } else if pair_lo[j] == link {
-                        counter = Some(pair_lo_counter[j]);
-                    }
+            pair_start.push(first);
+            pair_heard.push(NO_LINK);
+            for (hi, p) in [(true, c), (false, c + 1)] {
+                for &link in holders.of(p) {
+                    let up = match coins {
+                        CoinSource::Mu(mu) => {
+                            let m = mu[link];
+                            assert!(m > 0.0 && m < 1.0, "mu[{link}] = {m} must lie in (0, 1)");
+                            rng.random_bool(m)
+                        }
+                        CoinSource::Fixed(flips) if hi => flips[j].hi_up,
+                        CoinSource::Fixed(flips) => flips[j].lo_up,
+                    };
+                    believers.push(Believer {
+                        link,
+                        hi,
+                        wants: hi != up,
+                        counter: (if up { p - 1 } else { p + 1 }) as u64 + 2 * j as u64,
+                        sent: false,
+                        concede_at: UNARMED,
+                        moves: false,
+                    });
                 }
-                let counter = match counter {
-                    Some(c) => c,
+            }
+            believers[first..].sort_unstable_by_key(|bl| (bl.counter, bl.link));
+        }
+        pair_start.push(believers.len());
+        let n_pairs = pair_c.len();
+        let beliefs = match fault.as_deref() {
+            Some(f) => &f.beliefs[..],
+            None => sigma.priorities(),
+        };
+
+        // Trace mode: every up link's BackoffSet comes first, in link
+        // order. O(N · believers) here is fine — trace mode is explicitly
+        // off the hot path.
+        if tracing {
+            for (link, &b) in beliefs.iter().enumerate() {
+                if fault.as_deref().is_some_and(|f| f.is_down(link)) {
+                    continue;
+                }
+                let counter = match believers.iter().find(|bl| bl.link == link) {
+                    Some(bl) => bl.counter,
                     None => {
-                        let pairs_above =
-                            pair_c.iter().filter(|&&c| c + 1 < sigma_n).count() as u64;
-                        (sigma_n as u64 - 1) + 2 * pairs_above
+                        let pairs_above = pair_c.iter().filter(|&&c| c + 1 < b).count() as u64;
+                        (b as u64 - 1) + 2 * pairs_above
                     }
                 };
                 report.trace.push(TraceEvent::BackoffSet {
@@ -664,10 +1010,9 @@ impl BatchedDpEngine {
         }
 
         // --------------------- Phase 1: the priority walk (Steps 4/6).
-        // Claimants are visited in strictly increasing counter order: the
-        // priority sweep 1..=N, with the two members of each pair block
-        // locally ordered by counter (pair j's counters lie strictly
-        // between its neighbours' — see the module docs).
+        // Counters are visited in strictly increasing order: the priority
+        // sweep 1..=N, with each pair block in its stored counter order.
+        // All links at one counter act at one boundary.
         let mut walk = Walk {
             timing,
             slot: timing.slot(),
@@ -678,6 +1023,9 @@ impl BatchedDpEngine {
             board,
             outcome: &mut report.outcome,
             touched,
+            started,
+            airtimes,
+            starts: fault.is_some().then_some(starts),
             trace: if tracing {
                 Some(TraceRec {
                     events: trace_tmp,
@@ -689,48 +1037,62 @@ impl BatchedDpEngine {
             medium: Medium::new(),
             t: Nanos::ZERO,
             next_boundary: 0,
-            stopped: false,
         };
         let mut pair_idx = 0usize;
         let mut p = 1usize;
         'walk: while p <= n {
             if pair_idx < n_pairs && pair_c[pair_idx] == p {
                 let j = pair_idx;
-                let hi_first = pair_hi_counter[j] < pair_lo_counter[j];
-                for step in 0..2 {
-                    let is_hi = (step == 0) == hi_first;
-                    let (link, counter) = if is_hi {
-                        (pair_hi[j], pair_hi_counter[j])
+                let end = pair_start[j + 1];
+                let mut i = pair_start[j];
+                while i < end {
+                    let counter = believers[i].counter;
+                    let end_run = i + believers[i..end]
+                        .iter()
+                        .take_while(|bl| bl.counter == counter)
+                        .count();
+                    if end_run == i + 1 {
+                        // Step 2: a candidate with no arrivals claims its
+                        // backoff slot with an empty frame.
+                        let bl = &mut believers[i];
+                        let claim = walk.claim(bl.link, counter, arrivals[bl.link] == 0);
+                        if let Claim::Stopped = claim {
+                            break 'walk;
+                        }
+                        bl.record(claim, counter, &mut pair_heard[j]);
                     } else {
-                        (pair_lo[j], pair_lo_counter[j])
-                    };
-                    // Step 2: a candidate with no arrivals claims its
-                    // backoff slot with an empty frame.
-                    let pending_empty = arrivals[link] == 0;
-                    match walk.claim(link, counter, pending_empty) {
-                        Claim::Stopped => break 'walk,
-                        Claim::Transmitted => {
-                            if !is_hi {
-                                pair_lo_transmitted[j] = true;
-                            }
+                        let group = &mut believers[i..end_run];
+                        if !walk.crowd(counter, group.iter().map(|bl| bl.link), true) {
+                            break 'walk;
                         }
-                        Claim::NoFit => {
-                            // Remark 4: a *staying* hi whose claim no
-                            // longer fits concedes iff a transmission
-                            // starts at exactly the next boundary.
-                            if is_hi && !pair_hi_wants_down[j] {
-                                pair_concede_at[j] = counter + 1;
-                            }
+                        let clean = walk.started.len() == 1;
+                        let mut next = 0;
+                        for bl in group {
+                            let claim = if walk.started.get(next) == Some(&bl.link) {
+                                next += 1;
+                                if clean {
+                                    Claim::Clean
+                                } else {
+                                    Claim::Collided
+                                }
+                            } else {
+                                Claim::Silent
+                            };
+                            bl.record(claim, counter, &mut pair_heard[j]);
                         }
-                        Claim::Idle => {}
                     }
+                    i = end_run;
                 }
                 p += 2;
                 pair_idx += 1;
             } else {
-                let link = sigma.link_with_priority(p).index();
                 let counter = (p as u64 - 1) + 2 * pair_idx as u64;
-                if let Claim::Stopped = walk.claim(link, counter, false) {
+                let stopped = match holders.of(p) {
+                    [] => false,
+                    &[link] => matches!(walk.claim(link, counter, false), Claim::Stopped),
+                    crowd => !walk.crowd(counter, crowd.iter().copied(), false),
+                };
+                if stopped {
                     break 'walk;
                 }
                 p += 1;
@@ -754,78 +1116,97 @@ impl BatchedDpEngine {
             );
         }
 
-        // ------- Phase 2: bitset sense resolution + commit (Steps 5/7).
-        for j in 0..n_pairs {
-            let mut hi_busy_at_1 = false;
-            let mut lo_idle_at_1 = false;
-            if pair_hi_wants_down[j] {
-                // Eq. 7: hi senses at the boundary where its counter
-                // stands at 1, i.e. boundary `initial − 1`.
-                let s = pair_hi_counter[j] - 1;
-                if s < b_end {
-                    let busy = board.busy_at(s as usize);
-                    hi_busy_at_1 = busy;
-                    if tracing {
-                        trace_tmp.push((
-                            s,
-                            0,
-                            TraceEvent::SenseCheck {
-                                link: LinkId::new(pair_hi[j]),
-                                at: boundary_times[s as usize],
-                                busy,
-                            },
-                        ));
-                    }
-                }
+        // ------------------ Phase 2: sense resolution (Steps 5, Eqs. 7–8).
+        // A willing believer senses where its counter stands at 1 (boundary
+        // `initial − 1`); an armed concede senses its boundary. Each
+        // believer has at most one check, and the fault layer filters them
+        // in slot order: boundary, then link (one boundary's checks all
+        // belong to one side of one pair).
+        for (b, bl) in believers.iter().enumerate() {
+            let at = if bl.wants {
+                bl.counter - 1
+            } else {
+                bl.concede_at
+            };
+            if at < b_end {
+                checks.push((at, bl.link, b));
             }
-            if pair_lo_wants_up[j] {
-                // Eq. 8: same construction for lo.
-                let s = pair_lo_counter[j] - 1;
-                if s < b_end {
-                    let busy = board.busy_at(s as usize);
-                    lo_idle_at_1 = !busy;
-                    if tracing {
-                        trace_tmp.push((
-                            s,
-                            0,
-                            TraceEvent::SenseCheck {
-                                link: LinkId::new(pair_lo[j]),
-                                at: boundary_times[s as usize],
-                                busy,
-                            },
-                        ));
-                    }
-                }
-            }
-            let ca = pair_concede_at[j];
-            let hi_concede = ca != UNARMED && ca < b_end && board.busy_at(ca as usize);
-            let hi_swaps = (pair_hi_wants_down[j] && hi_busy_at_1) || hi_concede;
-            let lo_swaps = lo_idle_at_1 && pair_lo_wants_up[j] && pair_lo_transmitted[j];
-            debug_assert_eq!(
-                hi_swaps, lo_swaps,
-                "swap handshake diverged for pair C = {} (σ = {})",
-                pair_c[j], sigma
-            );
-            if hi_swaps && lo_swaps {
-                let t = AdjacentTransposition::new(pair_c[j]);
-                sigma.apply(t);
-                report.swaps.push(t);
+        }
+        checks.sort_unstable();
+        for &(at, link, b) in checks.iter() {
+            let busy = match fault.as_deref_mut() {
+                Some(f) => f.sense(link, at, board, starts),
+                None => board.busy_at(at as usize),
+            };
+            let bl = &mut believers[b];
+            if bl.wants {
+                // Eq. 7: hi moves down on hearing busy; Eq. 8: lo moves up
+                // on hearing idle, once it has claimed its slot.
+                bl.moves = if bl.hi { busy } else { !busy && bl.sent };
                 if tracing {
                     trace_tmp.push((
-                        u64::MAX,
-                        j as u32,
-                        TraceEvent::SwapCommitted { upper: pair_c[j] },
+                        at,
+                        0,
+                        TraceEvent::SenseCheck {
+                            link: LinkId::new(link),
+                            at: boundary_times[at as usize],
+                            busy,
+                        },
                     ));
                 }
+            } else {
+                bl.moves = busy;
             }
         }
 
         // Trace mode: merge the out-of-order sense checks back into the
-        // per-boundary emission order of a slot-by-slot run. Keys are unique (sense
-        // boundaries are pairwise distinct; tx events use seq ≥ 1).
+        // per-boundary emission order of a slot-by-slot run (a stable sort:
+        // one boundary's sense checks keep their resolution order).
         if tracing {
-            trace_tmp.sort_unstable_by_key(|&(b, s, _)| (b, s));
+            trace_tmp.sort_by_key(|&(b, s, _)| (b, s));
             report.trace.extend(trace_tmp.iter().map(|&(_, _, e)| e));
+        }
+
+        // ---------------------------------- Phase 3: commit (Step 7).
+        // Each believer commits the move it thinks it completed. Without
+        // faults the two sides of a pair always agree; with them they can
+        // disagree — a Divergence, which is how the beliefs lose their
+        // bijectivity.
+        for j in 0..n_pairs {
+            let pair = &believers[pair_start[j]..pair_start[j + 1]];
+            let hi_moves = pair.iter().filter(|bl| bl.hi && bl.moves).count();
+            let lo_moves = pair.iter().filter(|bl| !bl.hi && bl.moves).count();
+            let t = AdjacentTransposition::new(pair_c[j]);
+            if hi_moves == 1 && lo_moves == 1 {
+                report.swaps.push(t);
+                if tracing {
+                    report
+                        .trace
+                        .push(TraceEvent::SwapCommitted { upper: pair_c[j] });
+                }
+            }
+            match fault.as_deref_mut() {
+                Some(f) => {
+                    if f.commit(pair) && tracing {
+                        report
+                            .trace
+                            .push(TraceEvent::Divergence { upper: pair_c[j] });
+                    }
+                }
+                None => {
+                    debug_assert_eq!(
+                        hi_moves, lo_moves,
+                        "swap handshake diverged for pair C = {} (σ = {})",
+                        pair_c[j], sigma
+                    );
+                    if hi_moves == 1 && lo_moves == 1 {
+                        sigma.apply(t);
+                    }
+                }
+            }
+        }
+        if let Some(f) = fault.as_deref_mut() {
+            f.end_interval(sigma, pair_start, believers, pair_heard, starts);
         }
 
         // Interval postconditions: σ(k+1) is still a bijection of 1..=N,

@@ -12,8 +12,8 @@
 //! priorities for the next interval.
 //!
 //! This module holds the protocol's shared types and the candidate
-//! sampler. [`crate::BatchedDpEngine`] executes the fault-free interval;
-//! [`crate::FaultyDpEngine`] executes it over corrupted local state.
+//! sampler. [`crate::BatchedDpEngine`] executes the interval, with its
+//! fault layer also over corrupted local state.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -22,8 +22,7 @@ use rtmac_sim::{Nanos, SimRng};
 
 use crate::{IntervalOutcome, MacTiming};
 
-/// Configuration of a DP engine ([`crate::BatchedDpEngine`] or
-/// [`crate::FaultyDpEngine`]).
+/// Configuration of the DP engine ([`crate::BatchedDpEngine`]).
 #[derive(Debug, Clone)]
 pub struct DpConfig {
     timing: MacTiming,
@@ -148,10 +147,10 @@ pub enum TraceEvent {
         /// The upper priority `C` of the exchanged pair.
         upper: usize,
     },
-    /// Degraded mode only ([`crate::FaultyDpEngine`]): the two sides of a
-    /// drawn pair committed inconsistent priority moves, so the local σ
-    /// views diverged. The pristine [`crate::BatchedDpEngine`] never
-    /// emits this.
+    /// Degraded mode only (a [`crate::BatchedDpEngine`] with a fault
+    /// layer): the two sides of a drawn pair committed inconsistent
+    /// priority moves, so the local σ views diverged. Never emitted
+    /// without faults.
     Divergence {
         /// The upper priority `C` of the diverging pair.
         upper: usize,

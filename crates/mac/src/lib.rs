@@ -17,11 +17,11 @@
 //!   links in counter order over a flat struct-of-arrays state and
 //!   resolves carrier-sense checks against a bitset claim board.
 //!   [`reference::ReferenceNetwork`] re-implements the same protocol one
-//!   device at a time and serves as its differential-test oracle.
-//! * [`FaultyDpEngine`] — the degraded-mode DP path: the same protocol
-//!   executed over per-link priority *beliefs* with injected carrier-sensing
-//!   faults and link churn, modeled collisions instead of asserted
-//!   collision-freedom, and a self-stabilizing recovery rule that restores
+//!   device at a time and serves as its differential-test oracle. With a
+//!   fault layer the same kernel runs the degraded mode: per-link priority
+//!   *beliefs* under injected carrier-sensing faults, hidden terminals and
+//!   link churn, modelled collisions where beliefs share a counter, and the
+//!   self-stabilizing recovery rule of [`RecoveryConfig`] that restores
 //!   the priority bijection.
 //! * [`FcsmaEngine`] — the discretized Fast-CSMA baseline of Li & Eryilmaz
 //!   as used in the paper's comparison: slotted random access whose
@@ -55,8 +55,8 @@
 mod batched;
 mod centralized;
 mod dcf;
+mod degraded;
 mod dp;
-mod faulty;
 mod fcsma;
 mod frame_csma;
 mod outcome;
@@ -67,11 +67,11 @@ mod timing;
 pub use batched::BatchedDpEngine;
 pub use centralized::CentralizedEngine;
 pub use dcf::{DcfConfig, DcfEngine};
+pub use degraded::{ChurnEvent, FaultStats, MissLimit, RecoveryConfig};
 pub use dp::{
     draw_nonadjacent_candidates, draw_nonadjacent_candidates_into, DpConfig, DpIntervalReport,
     FrameKind, PairCoins, TraceEvent,
 };
-pub use faulty::{ChurnEvent, FaultStats, FaultyDpEngine, MissLimit, RecoveryConfig};
 pub use fcsma::{FcsmaEngine, FcsmaQuantizer};
 pub use frame_csma::FrameCsmaEngine;
 pub use outcome::{IntervalOutcome, LinkActivity};

@@ -68,11 +68,8 @@ impl IntervalOutcome {
     #[must_use]
     pub fn empty(n: usize) -> Self {
         IntervalOutcome {
-            // lint: allow(hot-path-alloc) — caller-owned outcome storage; the batched engine reuses its report buffers
             deliveries: vec![0; n],
-            // lint: allow(hot-path-alloc) — caller-owned outcome storage; the batched engine reuses its report buffers
             attempts: vec![0; n],
-            // lint: allow(hot-path-alloc) — caller-owned outcome storage; the batched engine reuses its report buffers
             latency_sum: vec![Nanos::ZERO; n],
             ..Default::default()
         }

@@ -193,6 +193,44 @@ impl Permutation {
         &self.priority_of
     }
 
+    /// The raw inverse map: `link_indices()[p − 1]` is the link holding
+    /// priority `p`.
+    #[must_use]
+    pub fn link_indices(&self) -> &[usize] {
+        &self.link_at
+    }
+
+    /// Overwrites the permutation in place from a per-link priority
+    /// vector of the same length, without allocating.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::ConfigError::InvalidParameter`] if `priorities`
+    /// differs in length or is not a bijection onto `1..=N`; `self` is
+    /// then left unchanged.
+    pub fn assign_priorities(&mut self, priorities: &[usize]) -> Result<(), crate::ConfigError> {
+        let n = self.len();
+        let invalid = |value: usize| crate::ConfigError::InvalidParameter {
+            name: "priority vector",
+            value: value as f64,
+        };
+        if priorities.len() != n {
+            return Err(invalid(priorities.len()));
+        }
+        self.link_at.fill(usize::MAX);
+        for (link, &p) in priorities.iter().enumerate() {
+            if p < 1 || p > n || self.link_at[p - 1] != usize::MAX {
+                for (l, &q) in self.priority_of.iter().enumerate() {
+                    self.link_at[q - 1] = l;
+                }
+                return Err(invalid(p));
+            }
+            self.link_at[p - 1] = link;
+        }
+        self.priority_of.copy_from_slice(priorities);
+        Ok(())
+    }
+
     /// Applies an adjacent transposition in place: the links holding
     /// priorities `t.upper()` and `t.lower()` exchange them.
     ///
@@ -402,6 +440,18 @@ mod tests {
         assert!(Permutation::from_priorities(vec![0, 1, 2]).is_err());
         assert!(Permutation::from_priorities(vec![1, 2, 4]).is_err());
         assert!(Permutation::from_priorities(vec![]).is_err());
+    }
+
+    #[test]
+    fn assign_priorities_rewrites_in_place_or_leaves_self_alone() {
+        let mut p = Permutation::identity(3);
+        p.assign_priorities(&[3, 1, 2]).unwrap();
+        assert_eq!(p, Permutation::from_priorities(vec![3, 1, 2]).unwrap());
+        assert_eq!(p.link_indices(), [1, 2, 0]);
+        for bad in [&[1, 1, 3][..], &[0, 1, 2], &[1, 2, 4], &[1, 2]] {
+            assert!(p.assign_priorities(bad).is_err());
+            assert_eq!(p, Permutation::from_priorities(vec![3, 1, 2]).unwrap());
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   ([`fault::HiddenMatrix`]); and link crash/revive churn, from one
 //!   scripted event ([`fault::ChurnSchedule`]) up to seeded Poisson
 //!   crash/revive processes and flash-crowd join ramps
-//!   ([`fault::ChurnProcess`]) for the degraded-mode DP experiments.
+//!   ([`fault::ChurnProcess`]) for the DP engine's degraded mode.
 //! * [`SenseBoard`] — a bit-per-slot-boundary claim board that lets the
 //!   batched interval kernel resolve carrier-sense checks as O(1) lookups
 //!   instead of per-link timeline walks.

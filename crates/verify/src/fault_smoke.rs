@@ -1,16 +1,16 @@
-//! Fault-corner smoke: a fixed-seed run of the degraded engine at
+//! Fault-corner smoke: a fixed-seed run of the degraded mode at
 //! N = 10 under a high-burstiness Gilbert–Elliott sensing model plus
 //! Poisson churn, asserting σ-liveness through the storm and
 //! reconvergence once the sensing noise stops.
 //!
-//! The exhaustive checker and [`mod@crate::smc`] certify the *pristine*
-//! engine: [`rtmac_mac::BatchedDpEngine`] with scripted channels. The degraded
-//! engine ([`rtmac_mac::FaultyDpEngine`]) deliberately leaves the
-//! permutation invariant behind — belief vectors under sensing faults
-//! need not be bijections — so its survival properties are statistical,
-//! not enumerable. This module pins the two that matter at a fault
-//! corner the sampled suites never visit (correlated bursts *and*
-//! churn at once):
+//! The exhaustive checker and [`mod@crate::smc`] certify the fault-free
+//! [`rtmac_mac::BatchedDpEngine`] with scripted channels, where σ is a
+//! permutation by construction. With a fault layer the same engine runs
+//! over per-link beliefs, which under sensing faults need not form a
+//! bijection, so the degraded mode's survival properties are
+//! statistical, not enumerable. This module pins the two that matter at
+//! a fault corner the sampled suites never visit (correlated bursts
+//! *and* churn at once):
 //!
 //! * **σ-liveness under the storm.** Every belief stays inside
 //!   `1..=N` on every interval, and data still flows (total deliveries
@@ -27,7 +27,7 @@
 //! discipline as `rtmac_core::Network`). CI wires this next to the
 //! `smc` smoke as `rtmac-verify fault-smoke`.
 
-use rtmac_mac::{DpConfig, FaultyDpEngine, MacTiming, RecoveryConfig};
+use rtmac_mac::{BatchedDpEngine, DpConfig, MacTiming, RecoveryConfig};
 use rtmac_phy::channel::Bernoulli;
 use rtmac_phy::fault::{BurstSensing, ChurnProcess, FaultModel};
 use rtmac_phy::PhyProfile;
@@ -129,12 +129,12 @@ impl FaultSmokeReport {
 /// ε = 0.4) and Poisson churn (rate 0.01, mean downtime 8 intervals)
 /// over a reliable channel, with adaptive R2 recovery enabled. The heal
 /// phase withdraws the fault model — churn keeps running — and waits
-/// for [`FaultyDpEngine::is_bijective`].
+/// for [`BatchedDpEngine::is_bijective`].
 #[must_use]
 pub fn fault_smoke(cfg: &FaultSmokeConfig) -> FaultSmokeReport {
     let n = cfg.links;
     let seeds = SeedStream::new(cfg.seed);
-    let mut engine = FaultyDpEngine::new(DpConfig::new(timing()), n)
+    let mut engine = BatchedDpEngine::new(DpConfig::new(timing()), n)
         .with_fault_model(FaultModel::symmetric(0.02, seeds.rng(3)).with_burst(
             n,
             BurstSensing::new(0.05, 0.2, 0.4, 0.4),
@@ -151,7 +151,7 @@ pub fn fault_smoke(cfg: &FaultSmokeConfig) -> FaultSmokeReport {
     let mut storm_deliveries = 0u64;
     let mut beliefs_in_range = true;
     for _ in 0..cfg.storm_intervals {
-        let r = engine.run_interval(&arrivals, &service, &mut channel, &mut rng);
+        let r = engine.step(&arrivals, &service, &mut channel, &mut rng);
         storm_deliveries += r.outcome.deliveries.iter().sum::<u64>();
         beliefs_in_range &= engine.beliefs().iter().all(|&b| (1..=n).contains(&b));
     }
@@ -173,7 +173,7 @@ pub fn fault_smoke(cfg: &FaultSmokeConfig) -> FaultSmokeReport {
     engine.set_fault_model(FaultModel::none());
     let mut healed_after = None;
     for k in 0..cfg.heal_budget {
-        let _ = engine.run_interval(&arrivals, &service, &mut channel, &mut rng);
+        let _ = engine.step(&arrivals, &service, &mut channel, &mut rng);
         if engine.is_bijective() {
             healed_after = Some(k + 1);
             break;

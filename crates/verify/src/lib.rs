@@ -54,7 +54,7 @@
 //! push next to `rtmac-lint`; an `smc` smoke run guards the statistical
 //! path; a `sched --quick` run gates the runner; a `fault-smoke` run
 //! ([`fault_smoke()`]) pins σ-liveness and reconvergence of the
-//! degraded engine at a correlated-fault corner).
+//! DP engine's degraded mode at a correlated-fault corner).
 
 pub mod channel;
 pub mod checker;

@@ -6,7 +6,7 @@
 mod common;
 
 use common::{Fault, FaultySubject, FrozenSigmaSubject};
-use rtmac_mac::{DpConfig, FaultyDpEngine, MacTiming, RecoveryConfig};
+use rtmac_mac::{BatchedDpEngine, DpConfig, MacTiming, RecoveryConfig};
 use rtmac_phy::channel::Bernoulli;
 use rtmac_phy::PhyProfile;
 use rtmac_sim::{Nanos, SeedStream};
@@ -97,7 +97,7 @@ fn frozen_sigma_breaks_quotient_liveness() {
     assert_eq!(ce.property, Property::SigmaLiveness, "{}", ce.detail);
 }
 
-/// The recovery mutant of the degraded engine: a link that never falls
+/// The recovery mutant of the degraded mode: a link that never falls
 /// back to the lowest priority. Conviction is behavioral — from a
 /// corrupted (non-bijective) belief multiset, the self-stabilizing rule
 /// must restore a bijection while the mutant provably never does.
@@ -106,12 +106,12 @@ fn recovery_mutant_that_never_falls_back_is_convicted() {
     let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_millis(2), 100);
     let reconverged_at = |recovery: RecoveryConfig| -> Option<usize> {
         let mut engine =
-            FaultyDpEngine::new(DpConfig::new(timing.clone()), 2).with_recovery(recovery);
+            BatchedDpEngine::new(DpConfig::new(timing.clone()), 2).with_recovery(recovery);
         engine.set_beliefs(vec![1, 1]); // duplicate priority beliefs
         let mut channel = Bernoulli::reliable(2);
         let mut rng = SeedStream::new(7).rng(0);
         for k in 0..400 {
-            engine.run_interval(&[1, 1], &[0.5, 0.5], &mut channel, &mut rng);
+            engine.step(&[1, 1], &[0.5, 0.5], &mut channel, &mut rng);
             if engine.is_bijective() {
                 return Some(k);
             }
