@@ -1,10 +1,13 @@
 //! Command-line grammar: parsing flags into [`Scenario`]s and rendering
-//! [`Scenario`]s back into flags.
+//! [`Scenario`]s back into flags. Flag values use the scenario grammar of
+//! [`rtmac::scenario`] (`TrafficSpec::parse`, `PolicySpec::parse`,
+//! `Axis::parse`), and `--scenario` resolves through
+//! [`rtmac_net::scenario_file::load`].
 
 use std::error::Error;
 use std::fmt;
 
-use rtmac::scenario::{self, EngineSpec, Param, Scenario, TrafficSpec};
+use rtmac::scenario::{Axis, EngineSpec, Param, Scenario, TrafficSpec};
 pub use rtmac::PolicySpec;
 
 /// A parse- or run-time CLI error.
@@ -54,35 +57,12 @@ impl fmt::Display for CliError {
 
 impl Error for CliError {}
 
-/// Which arrival process to use.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalSpec {
-    /// `burst:ALPHA` — the paper's video model, `U{1..6}` w.p. `ALPHA`.
-    Burst(f64),
-    /// `bernoulli:LAMBDA` — the paper's control model.
-    Bernoulli(f64),
-    /// `constant` — exactly one packet per link per interval.
-    Constant,
-}
-
-/// The swept parameter of `rtmac sweep`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepParam {
-    /// Burst probability of the video arrival model.
-    Alpha,
-    /// Rate of the Bernoulli arrival model.
-    Lambda,
-    /// Required delivery ratio.
-    Ratio,
-    /// Channel success probability.
-    SuccessProbability,
-}
-
 /// Network and simulation options shared by every subcommand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkOpts {
-    /// A named workload from [`scenario::by_name`]; overrides the
-    /// network-shape flags below.
+    /// A registry name or a scenario file, resolved by
+    /// [`rtmac_net::scenario_file::load`]; replaces the network-shape
+    /// flags below.
     pub scenario: Option<String>,
     /// Number of links.
     pub links: usize,
@@ -93,13 +73,15 @@ pub struct NetworkOpts {
     /// Uniform channel success probability.
     pub p: f64,
     /// Arrival process.
-    pub arrivals: ArrivalSpec,
+    pub arrivals: TrafficSpec,
     /// Required delivery ratio.
     pub ratio: f64,
-    /// Number of intervals to simulate.
-    pub intervals: usize,
-    /// RNG seed.
-    pub seed: u64,
+    /// Number of intervals to simulate; `None` keeps the scenario's (1000
+    /// for the flag-built network).
+    pub intervals: Option<usize>,
+    /// RNG seed; `None` keeps the scenario's (0 for the flag-built
+    /// network).
+    pub seed: Option<u64>,
 }
 
 impl Default for NetworkOpts {
@@ -110,51 +92,41 @@ impl Default for NetworkOpts {
             deadline_us: 20_000,
             payload: 1500,
             p: 0.7,
-            arrivals: ArrivalSpec::Burst(0.5),
+            arrivals: TrafficSpec::Burst {
+                alpha: Param::Uniform(0.5),
+                burst_max: 6,
+            },
             ratio: 0.9,
-            intervals: 1000,
-            seed: 0,
+            intervals: None,
+            seed: None,
         }
     }
 }
 
 impl NetworkOpts {
-    /// The [`Scenario`] this option set describes: the named registry entry
-    /// when `--scenario` was given (with `--intervals`, `--seed`, and the
-    /// policy still applied on top), otherwise a `"custom"` scenario built
-    /// from the individual flags.
+    /// The [`Scenario`] this option set describes: the `--scenario`
+    /// registry entry or file when given, otherwise a `"custom"` scenario
+    /// built from the individual flags (1000 intervals, seed 0, DB-DP).
+    /// `--intervals`, `--seed` and `policy` apply on top when given.
     ///
     /// # Errors
     ///
-    /// Returns a [`CliError::BadValue`] for an unknown scenario name.
-    pub fn to_scenario(&self, policy: PolicySpec) -> Result<Scenario, CliError> {
+    /// Returns a [`CliError`] when `--scenario` names neither a registry
+    /// scenario nor a readable, well-formed scenario file.
+    pub fn to_scenario(&self, policy: Option<PolicySpec>) -> Result<Scenario, CliError> {
         let mut sc = match &self.scenario {
-            Some(name) => scenario::by_name(name).ok_or_else(|| CliError::BadValue {
-                flag: "--scenario".into(),
-                value: name.clone(),
-                expected: "one of video20, control10, asym, tiny, bursty, \
-                           hidden-terminal, poisson-churn, overload-admission",
-            })?,
+            Some(spec) => load_scenario(spec)?,
             None => Scenario {
                 name: "custom",
                 links: self.links,
                 deadline_us: self.deadline_us,
                 payload_bytes: self.payload,
                 success: Param::Uniform(self.p),
-                traffic: match self.arrivals {
-                    ArrivalSpec::Burst(alpha) => TrafficSpec::Burst {
-                        alpha: Param::Uniform(alpha),
-                        burst_max: 6,
-                    },
-                    ArrivalSpec::Bernoulli(lambda) => TrafficSpec::Bernoulli {
-                        lambda: Param::Uniform(lambda),
-                    },
-                    ArrivalSpec::Constant => TrafficSpec::Constant,
-                },
+                traffic: self.arrivals.clone(),
                 ratio: Param::Uniform(self.ratio),
-                policy,
-                intervals: self.intervals,
-                seed: self.seed,
+                policy: PolicySpec::db_dp(),
+                intervals: 1000,
+                seed: 0,
                 replications: 1,
                 track: None,
                 fault: None,
@@ -162,11 +134,38 @@ impl NetworkOpts {
                 engine: EngineSpec::Timeline,
             },
         };
-        sc.policy = policy;
-        sc.intervals = self.intervals;
-        sc.seed = self.seed;
+        if let Some(policy) = policy {
+            sc.policy = policy;
+        }
+        if let Some(intervals) = self.intervals {
+            sc.intervals = intervals;
+        }
+        if let Some(seed) = self.seed {
+            sc.seed = seed;
+        }
         Ok(sc)
     }
+}
+
+/// Resolves a `--scenario` value through
+/// [`rtmac_net::scenario_file::load`], as `rtmac-netd` does.
+///
+/// # Errors
+///
+/// A value that is neither a registry name nor a readable file is a
+/// [`CliError::BadValue`]; a file that does not parse is a
+/// [`CliError::Invalid`] naming the line.
+pub(crate) fn load_scenario(spec: &str) -> Result<Scenario, CliError> {
+    rtmac_net::scenario_file::load(spec).map_err(|e| match e {
+        rtmac_net::NetError::Config(_) => CliError::BadValue {
+            flag: "--scenario".into(),
+            value: spec.to_string(),
+            expected: "a registry name (video20, control10, asym, tiny, bursty, \
+                       hidden-terminal, poisson-churn, overload-admission) or a \
+                       readable scenario file",
+        },
+        e => CliError::Invalid(e.to_string()),
+    })
 }
 
 /// Options of `rtmac emulate` — a whole deployment on one box, with the
@@ -223,8 +222,8 @@ pub enum Command {
     Run {
         /// Shared options.
         opts: NetworkOpts,
-        /// The policy.
-        policy: PolicySpec,
+        /// The `--policy`; `None` keeps the scenario's.
+        policy: Option<PolicySpec>,
     },
     /// Run DB-DP, LDF, and FCSMA on the same network.
     Compare {
@@ -236,7 +235,7 @@ pub enum Command {
         /// Shared options (the swept field's value is overridden).
         opts: NetworkOpts,
         /// Which parameter to sweep.
-        param: SweepParam,
+        param: Axis,
         /// First value.
         from: f64,
         /// Last value (inclusive).
@@ -279,95 +278,46 @@ fn parse_num<T: std::str::FromStr>(
     })
 }
 
-fn parse_arrivals(flag: &str, value: &str) -> Result<ArrivalSpec, CliError> {
-    if value == "constant" {
-        return Ok(ArrivalSpec::Constant);
-    }
-    if let Some(alpha) = value.strip_prefix("burst:") {
-        return Ok(ArrivalSpec::Burst(parse_num(flag, alpha, "a probability")?));
-    }
-    if let Some(lambda) = value.strip_prefix("bernoulli:") {
-        return Ok(ArrivalSpec::Bernoulli(parse_num(
-            flag,
-            lambda,
-            "a probability",
-        )?));
-    }
-    Err(CliError::BadValue {
+/// Parses a flag value with one of the scenario grammar's parsers.
+fn parse_spec<T>(
+    flag: &str,
+    value: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+    expected: &'static str,
+) -> Result<T, CliError> {
+    parse(value).ok_or_else(|| CliError::BadValue {
         flag: flag.to_string(),
         value: value.to_string(),
-        expected: "burst:ALPHA, bernoulli:LAMBDA, or constant",
+        expected,
     })
 }
 
-fn parse_policy(flag: &str, value: &str) -> Result<PolicySpec, CliError> {
-    match value {
-        "db-dp" | "dbdp" => Ok(PolicySpec::db_dp()),
-        "ldf" => Ok(PolicySpec::Ldf),
-        "eldf" => Ok(PolicySpec::eldf()),
-        "fcsma" => Ok(PolicySpec::Fcsma),
-        "dcf" => Ok(PolicySpec::Dcf),
-        "frame-csma" | "framecsma" => Ok(PolicySpec::frame_csma()),
-        _ => Err(CliError::BadValue {
-            flag: flag.to_string(),
-            value: value.to_string(),
-            expected: "db-dp, ldf, eldf, fcsma, dcf, or frame-csma",
-        }),
-    }
-}
-
-/// The `--policy` spelling of a [`PolicySpec`], when it has one (only the
-/// flag-default configurations do; e.g. a DB-DP with extra swap pairs is
-/// not expressible).
-#[must_use]
-pub fn policy_flag(spec: PolicySpec) -> Option<&'static str> {
-    if spec == PolicySpec::db_dp() {
-        Some("db-dp")
-    } else if spec == PolicySpec::Ldf {
-        Some("ldf")
-    } else if spec == PolicySpec::eldf() {
-        Some("eldf")
-    } else if spec == PolicySpec::Fcsma {
-        Some("fcsma")
-    } else if spec == PolicySpec::Dcf {
-        Some("dcf")
-    } else if spec == PolicySpec::frame_csma() {
-        Some("frame-csma")
-    } else {
-        None
-    }
-}
-
 /// Renders a scenario back into `rtmac run` argument tokens — the inverse
-/// of [`parse`] for every configuration the flag grammar can express
-/// (uniform parameters, the paper's burst size, a flag-named policy;
-/// `None` otherwise). Round trip: parsing the rendered tokens and calling
-/// [`NetworkOpts::to_scenario`] reproduces the scenario, field for field.
+/// of [`parse`] for every configuration the flags can express (uniform
+/// `p` and ratio, a renderable traffic spec and policy, no tracking, fault
+/// injection, admission or replications; `None` otherwise). Round trip:
+/// parsing the rendered tokens and calling [`NetworkOpts::to_scenario`]
+/// reproduces the scenario, field for field.
 #[must_use]
 pub fn render_run_command(sc: &Scenario) -> Option<Vec<String>> {
-    if sc.track.is_some() || sc.fault.is_some() || sc.replications != 1 {
+    if sc.track.is_some()
+        || sc.fault.is_some()
+        || sc.admission.is_some()
+        || sc.replications != 1
+        || sc.engine != EngineSpec::default()
+    {
         return None;
     }
-    let arrivals = match &sc.traffic {
-        TrafficSpec::Burst {
-            alpha,
-            burst_max: 6,
-        } => format!("burst:{}", alpha.uniform_value()?),
-        TrafficSpec::Burst { .. } => return None,
-        TrafficSpec::Bernoulli { lambda } => format!("bernoulli:{}", lambda.uniform_value()?),
-        TrafficSpec::Constant => "constant".to_string(),
-    };
-    let policy = policy_flag(sc.policy)?;
     let tokens = [
         ("--links", sc.links.to_string()),
         ("--deadline-us", sc.deadline_us.to_string()),
         ("--payload", sc.payload_bytes.to_string()),
         ("--p", sc.success.uniform_value()?.to_string()),
-        ("--arrivals", arrivals),
+        ("--arrivals", sc.traffic.render()?),
         ("--ratio", sc.ratio.uniform_value()?.to_string()),
         ("--intervals", sc.intervals.to_string()),
         ("--seed", sc.seed.to_string()),
-        ("--policy", policy.to_string()),
+        ("--policy", sc.policy.render()?),
     ];
     let mut argv = vec!["run".to_string()];
     for (flag, value) in tokens {
@@ -439,7 +389,7 @@ fn parse_emulate(rest: &[String]) -> Result<Command, CliError> {
 
 fn parse_subcommand(command: &str, rest: &[String]) -> Result<Command, CliError> {
     let mut opts = NetworkOpts::default();
-    let mut policy = PolicySpec::db_dp();
+    let mut policy = None;
     let mut param = None;
     let mut from = None;
     let mut to = None;
@@ -486,17 +436,30 @@ fn parse_subcommand(command: &str, rest: &[String]) -> Result<Command, CliError>
             }
             "--arrivals" => {
                 shape(flag);
-                opts.arrivals = parse_arrivals(flag, value_for()?)?;
+                opts.arrivals =
+                    parse_spec(flag, value_for()?, TrafficSpec::parse, TrafficSpec::GRAMMAR)?;
             }
             "--ratio" => {
                 shape(flag);
                 opts.ratio = parse_num(flag, value_for()?, "a ratio in (0,1]")?;
             }
-            "--intervals" => opts.intervals = parse_num(flag, value_for()?, "an interval count")?,
-            "--seed" => opts.seed = parse_num(flag, value_for()?, "an integer seed")?,
-            "--policy" if command == "run" => policy = parse_policy(flag, value_for()?)?,
+            "--intervals" => {
+                opts.intervals = Some(parse_num(flag, value_for()?, "an interval count")?);
+            }
+            "--seed" => opts.seed = Some(parse_num(flag, value_for()?, "an integer seed")?),
+            "--policy" if command == "run" => {
+                let value = value_for()?;
+                policy = Some(parse_spec(
+                    flag,
+                    value,
+                    PolicySpec::parse,
+                    PolicySpec::GRAMMAR,
+                )?);
+            }
             "--progress" if command == "sweep" => progress = true,
-            "--param" if command == "sweep" => param = Some(parse_sweep_param(flag, value_for()?)?),
+            "--param" if command == "sweep" => {
+                param = Some(parse_spec(flag, value_for()?, Axis::parse, Axis::GRAMMAR)?);
+            }
             "--from" if command == "sweep" => {
                 from = Some(parse_num(flag, value_for()?, "a number")?);
             }
@@ -543,23 +506,10 @@ fn parse_subcommand(command: &str, rest: &[String]) -> Result<Command, CliError>
     }
 }
 
-fn parse_sweep_param(flag: &str, value: &str) -> Result<SweepParam, CliError> {
-    match value {
-        "alpha" => Ok(SweepParam::Alpha),
-        "lambda" => Ok(SweepParam::Lambda),
-        "ratio" => Ok(SweepParam::Ratio),
-        "p" => Ok(SweepParam::SuccessProbability),
-        _ => Err(CliError::BadValue {
-            flag: flag.to_string(),
-            value: value.to_string(),
-            expected: "alpha, lambda, ratio, or p",
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtmac::scenario;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -584,12 +534,18 @@ mod tests {
         let Command::Run { opts, policy } = cmd else {
             panic!("expected run");
         };
-        assert_eq!(policy, PolicySpec::Fcsma);
+        assert_eq!(policy, Some(PolicySpec::Fcsma));
         assert_eq!(opts.links, 20);
         assert_eq!(opts.deadline_us, 20_000);
         assert_eq!(opts.payload, 1500);
-        assert_eq!(opts.arrivals, ArrivalSpec::Burst(0.55));
-        assert_eq!(opts.seed, 42);
+        assert_eq!(
+            opts.arrivals,
+            TrafficSpec::Burst {
+                alpha: Param::Uniform(0.55),
+                burst_max: 6
+            }
+        );
+        assert_eq!(opts.seed, Some(42));
     }
 
     #[test]
@@ -641,18 +597,40 @@ mod tests {
         ));
     }
 
+    fn run_opts(args: &str) -> Result<(NetworkOpts, Option<PolicySpec>), CliError> {
+        match parse(&argv(&format!("run {args}")))? {
+            Command::Run { opts, policy } => Ok((opts, policy)),
+            other => panic!("expected run, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn arrivals_variants() {
-        assert_eq!(
-            parse_arrivals("--arrivals", "bernoulli:0.78").unwrap(),
-            ArrivalSpec::Bernoulli(0.78)
-        );
-        assert_eq!(
-            parse_arrivals("--arrivals", "constant").unwrap(),
-            ArrivalSpec::Constant
-        );
-        assert!(parse_arrivals("--arrivals", "poisson:2").is_err());
-        assert!(parse_arrivals("--arrivals", "burst:x").is_err());
+    fn arrivals_take_the_scenario_grammar() {
+        for (value, want) in [
+            (
+                "bernoulli:0.78",
+                TrafficSpec::Bernoulli {
+                    lambda: Param::Uniform(0.78),
+                },
+            ),
+            ("constant", TrafficSpec::Constant),
+            (
+                "burst:0.5:3",
+                TrafficSpec::Burst {
+                    alpha: Param::Uniform(0.5),
+                    burst_max: 3,
+                },
+            ),
+        ] {
+            let (opts, _) = run_opts(&format!("--arrivals {value}")).unwrap();
+            assert_eq!(opts.arrivals, want, "{value}");
+        }
+        for bad in ["poisson:2", "burst:x"] {
+            assert!(matches!(
+                run_opts(&format!("--arrivals {bad}")),
+                Err(CliError::BadValue { .. })
+            ));
+        }
     }
 
     #[test]
@@ -660,24 +638,41 @@ mod tests {
         for (name, spec) in [
             ("db-dp", PolicySpec::db_dp()),
             ("dbdp", PolicySpec::db_dp()),
+            ("db-dp:pairs=3", PolicySpec::db_dp_pairs(3)),
             ("ldf", PolicySpec::Ldf),
             ("eldf", PolicySpec::eldf()),
             ("fcsma", PolicySpec::Fcsma),
             ("dcf", PolicySpec::Dcf),
             ("frame-csma", PolicySpec::frame_csma()),
+            ("framecsma", PolicySpec::frame_csma()),
+            ("fixed", PolicySpec::FixedPriority),
         ] {
-            assert_eq!(parse_policy("--policy", name).unwrap(), spec);
+            let (_, policy) = run_opts(&format!("--policy {name}")).unwrap();
+            assert_eq!(policy, Some(spec), "{name}");
         }
-        assert!(parse_policy("--policy", "tdma").is_err());
+        assert!(matches!(
+            run_opts("--policy tdma"),
+            Err(CliError::BadValue { .. })
+        ));
+        // Without --policy the scenario keeps its own.
+        assert_eq!(run_opts("--links 3").unwrap().1, None);
     }
 
     #[test]
-    fn policy_flags_round_trip() {
-        for name in ["db-dp", "ldf", "eldf", "fcsma", "dcf", "frame-csma"] {
-            let spec = parse_policy("--policy", name).unwrap();
-            assert_eq!(policy_flag(spec), Some(name));
+    fn rendered_policies_parse_back() {
+        let base = scenario::by_name("tiny").unwrap();
+        for policy in [
+            PolicySpec::db_dp(),
+            PolicySpec::db_dp_pairs(3),
+            PolicySpec::frame_csma(),
+            PolicySpec::FixedPriority,
+        ] {
+            let argv = render_run_command(&base.clone().with_policy(policy)).unwrap();
+            let Command::Run { opts, policy: back } = parse(&argv).unwrap() else {
+                panic!()
+            };
+            assert_eq!(opts.to_scenario(back).unwrap().policy, policy);
         }
-        assert_eq!(policy_flag(PolicySpec::db_dp_pairs(3)), None);
     }
 
     #[test]
@@ -725,7 +720,7 @@ mod tests {
         else {
             panic!()
         };
-        assert_eq!(param, SweepParam::Ratio);
+        assert_eq!(param, Axis::Ratio);
         assert_eq!((from, to, steps), (0.8, 1.0, 3));
     }
 

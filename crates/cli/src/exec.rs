@@ -3,22 +3,18 @@
 
 use std::fmt::Write as _;
 
-use rtmac::scenario::{Param, Scenario, TrafficSpec};
+use rtmac::scenario::{Axis, Scenario, Sweep};
 use rtmac::sim::Nanos;
 use rtmac::{RunReport, Runner};
-use rtmac_traffic::{ArrivalProcess, BernoulliArrivals, BurstUniform, ConstantArrivals};
 
-use crate::args::{
-    ArrivalSpec, CliError, Command, EmulateOpts, NetworkOpts, PolicySpec, SweepParam,
-};
+use crate::args::{load_scenario, CliError, Command, EmulateOpts, NetworkOpts, PolicySpec};
 
 const USAGE: &str = "rtmac — real-time wireless MAC simulator (Hsieh & Hou, ICDCS 2018)
 
 Usage:
-  rtmac run      [--scenario NAME | network flags]
-                 --policy <db-dp|ldf|eldf|fcsma|dcf|frame-csma>
-  rtmac compare  [--scenario NAME | network flags]
-  rtmac sweep    [--scenario NAME | network flags] --param <alpha|lambda|ratio|p>
+  rtmac run      [--scenario NAME|FILE | network flags] [--policy POLICY]
+  rtmac compare  [--scenario NAME|FILE | network flags]
+  rtmac sweep    [--scenario NAME|FILE | network flags] --param AXIS
                  --from X --to Y [--steps N] [--progress]
   rtmac timeline [network flags]   (ASCII protocol trace, <= 10 intervals)
   rtmac emulate  [--scenario NAME|FILE] [--links N] [--intervals K] [--seed S]
@@ -32,8 +28,12 @@ Scenarios:
                      robustness scenario — bursty, hidden-terminal,
                      poisson-churn, overload-admission (DB-DP degraded
                      engine; run/compare report fault and admission
-                     counters). Composes with --intervals, --seed, and
-                     --policy; conflicts with the network flags below.
+                     counters).
+  --scenario FILE    a deployment file of `key = value` lines (OPERATIONS.md
+                     section 3; examples/control10.scenario). run, compare,
+                     sweep, emulate and rtmac-netd read the same files.
+  --intervals, --seed and --policy override the scenario's own values;
+  the network flags below conflict with --scenario.
 
 Network flags (defaults in parentheses; prefer --scenario for the paper's
 workloads — these stay supported for custom networks):
@@ -41,10 +41,21 @@ workloads — these stay supported for custom networks):
   --deadline-ms T    per-packet deadline in ms (20); or --deadline-us T
   --payload B        data payload bytes (1500)
   --p P              uniform channel success probability (0.7)
-  --arrivals SPEC    burst:ALPHA | bernoulli:LAMBDA | constant (burst:0.5)
+  --arrivals TRAFFIC arrival process (burst:0.5)
   --ratio R          required delivery ratio (0.9)
   --intervals K      intervals to simulate (1000)
   --seed S           RNG seed (0)
+
+Grammar (shared with deployment files' traffic, policy, success, ratio):
+  TRAFFIC  constant | bernoulli:LAMBDA | burst:ALPHA | burst:ALPHA:MAX
+           (MAX, the largest burst, defaults to 6)
+  LAMBDA, ALPHA
+           a number, or a per-link comma list x,y,... (one link: x,)
+  POLICY   db-dp | db-dp:pairs=K | ldf | eldf | fcsma | dcf | frame-csma
+           | frame-csma:slots=S | fixed   (also dbdp, framecsma; default
+           db-dp, or the scenario file's)
+  AXIS     alpha | lambda | ratio | p   (an alpha or lambda sweep over the
+           other traffic kind switches to burst:X or bernoulli:X)
 
 Sweep flags:
   --progress         live completed/total and items/sec on stderr while
@@ -63,30 +74,18 @@ the full walkthrough):
 
 Examples:
   rtmac run --scenario video20
+  rtmac run --scenario examples/control10.scenario --policy ldf
   rtmac run --links 20 --arrivals burst:0.55 --policy db-dp --intervals 5000
   rtmac sweep --scenario control10 --param lambda --from 0.5 --to 0.9 --steps 9
   rtmac emulate --scenario control10 --links 100 --intervals 200 --check-replay
 ";
-
-fn arrivals_box(spec: ArrivalSpec, links: usize) -> Result<Box<dyn ArrivalProcess>, CliError> {
-    let to_cli = |e: rtmac::model::ConfigError| CliError::Invalid(e.to_string());
-    Ok(match spec {
-        ArrivalSpec::Burst(alpha) => {
-            Box::new(BurstUniform::symmetric(links, alpha, 6).map_err(to_cli)?)
-        }
-        ArrivalSpec::Bernoulli(lambda) => {
-            Box::new(BernoulliArrivals::symmetric(links, lambda).map_err(to_cli)?)
-        }
-        ArrivalSpec::Constant => Box::new(ConstantArrivals::one_each(links).map_err(to_cli)?),
-    })
-}
 
 fn run_scenario(sc: &Scenario) -> Result<RunReport, CliError> {
     sc.run().map_err(|e| CliError::Invalid(e.to_string()))
 }
 
 fn simulate(opts: &NetworkOpts, policy: PolicySpec) -> Result<RunReport, CliError> {
-    run_scenario(&opts.to_scenario(policy)?)
+    run_scenario(&opts.to_scenario(Some(policy))?)
 }
 
 fn render_run(sc: &Scenario, report: &RunReport) -> String {
@@ -181,43 +180,15 @@ fn render_compare(opts: &NetworkOpts) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Overrides the swept field on a scenario. The sweep replaces the arrival
-/// process outright for `alpha`/`lambda` (matching the historical flag
-/// semantics), so it applies uniformly even to per-link scenarios.
-fn apply_sweep(mut sc: Scenario, param: SweepParam, value: f64) -> Scenario {
-    match param {
-        SweepParam::Alpha => {
-            sc.traffic = TrafficSpec::Burst {
-                alpha: Param::Uniform(value),
-                burst_max: 6,
-            };
-        }
-        SweepParam::Lambda => {
-            sc.traffic = TrafficSpec::Bernoulli {
-                lambda: Param::Uniform(value),
-            };
-        }
-        SweepParam::Ratio => sc.ratio = Param::Uniform(value),
-        SweepParam::SuccessProbability => sc.success = Param::Uniform(value),
-    }
-    sc
-}
-
 fn render_sweep(
     opts: &NetworkOpts,
-    param: SweepParam,
+    axis: Axis,
     from: f64,
     to: f64,
     steps: usize,
     progress: bool,
 ) -> Result<String, CliError> {
-    let name = match param {
-        SweepParam::Alpha => "alpha",
-        SweepParam::Lambda => "lambda",
-        SweepParam::Ratio => "ratio",
-        SweepParam::SuccessProbability => "p",
-    };
-    let values: Vec<f64> = (0..steps)
+    let points: Vec<f64> = (0..steps)
         .map(|i| {
             if steps == 1 {
                 from
@@ -226,12 +197,22 @@ fn render_sweep(
             }
         })
         .collect();
+    // The swept value is uniform across links, even over a per-link
+    // scenario, and an alpha/lambda sweep over the other traffic kind
+    // switches kinds (see `Sweep::at`).
+    let sweep = Sweep {
+        name: "cli",
+        base: opts.to_scenario(None)?,
+        axis,
+        points,
+        shape: None,
+    };
     // One scenario per (point, contender), fanned over the worker pool;
     // results come back in input order, so the table is deterministic.
-    let mut jobs = Vec::with_capacity(values.len() * contenders().len());
-    for &value in &values {
+    let mut jobs = Vec::with_capacity(sweep.points.len() * contenders().len());
+    for point in sweep.scenarios() {
         for spec in contenders() {
-            jobs.push(apply_sweep(opts.to_scenario(spec)?, param, value));
+            jobs.push(point.clone().with_policy(spec));
         }
     }
     let reports = if progress {
@@ -257,11 +238,14 @@ fn render_sweep(
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{name:>12} {:>12} {:>12} {:>12}",
-        "DB-DP", "LDF", "FCSMA"
+        "{:>12} {:>12} {:>12} {:>12}",
+        axis.flag(),
+        "DB-DP",
+        "LDF",
+        "FCSMA"
     );
     let mut reports = reports.into_iter();
-    for value in values {
+    for value in sweep.points {
         let _ = write!(out, "{value:>12.4}");
         for _ in contenders() {
             let report = reports.next().expect("one report per job")?;
@@ -277,20 +261,20 @@ fn render_timeline(opts: &NetworkOpts) -> Result<String, CliError> {
     use rtmac::phy::{channel::Bernoulli, PhyProfile};
     use rtmac::sim::SeedStream;
 
+    let sc = opts.to_scenario(None)?;
+    let invalid = |e: rtmac::model::ConfigError| CliError::Invalid(e.to_string());
     let timing = MacTiming::new(
         PhyProfile::ieee80211a(),
-        Nanos::from_micros(opts.deadline_us),
-        opts.payload,
+        Nanos::from_micros(sc.deadline_us),
+        sc.payload_bytes,
     );
-    let mut engine =
-        BatchedDpEngine::new(DpConfig::new(timing.clone()).with_trace(true), opts.links);
-    let mut channel =
-        Bernoulli::new(vec![opts.p; opts.links]).map_err(|e| CliError::Invalid(e.to_string()))?;
-    let mut arrivals = arrivals_box(opts.arrivals, opts.links)?;
-    let seeds = SeedStream::new(opts.seed);
+    let mut engine = BatchedDpEngine::new(DpConfig::new(timing.clone()).with_trace(true), sc.links);
+    let mut channel = Bernoulli::new(sc.success.expand(sc.links)).map_err(invalid)?;
+    let mut arrivals = sc.traffic.instantiate(sc.links).map_err(invalid)?;
+    let seeds = SeedStream::new(sc.seed);
     let mut rng = seeds.rng(2);
     let mut arr_rng = seeds.rng(1);
-    let mu = vec![0.5; opts.links];
+    let mu = vec![0.5; sc.links];
 
     let mut out = String::new();
     let _ = writeln!(
@@ -298,7 +282,7 @@ fn render_timeline(opts: &NetworkOpts) -> Result<String, CliError> {
         "DP protocol timelines (constant mu = 0.5; # data, e empty claim, \u{b7} idle)\n"
     );
     let mut buf = Vec::new();
-    for k in 0..opts.intervals.clamp(1, 10) {
+    for k in 0..sc.intervals.clamp(1, 10) {
         arrivals.sample(&mut arr_rng, &mut buf);
         let report = engine.step(&buf, &mu, &mut channel, &mut rng).clone();
         let _ = writeln!(
@@ -311,7 +295,7 @@ fn render_timeline(opts: &NetworkOpts) -> Result<String, CliError> {
         let _ = write!(
             out,
             "{}",
-            timeline::render(&report.trace, &timing, opts.links, 100)
+            timeline::render(&report.trace, &timing, sc.links, 100)
         );
         let _ = writeln!(out);
     }
@@ -382,7 +366,7 @@ fn render_emulation_kv(report: &rtmac_net::EmulationReport) -> String {
 }
 
 fn run_emulate(opts: &EmulateOpts) -> Result<String, CliError> {
-    let mut sc = rtmac_net::scenario_file::load(&opts.scenario).map_err(net_err)?;
+    let mut sc = load_scenario(&opts.scenario)?;
     if let Some(links) = opts.links {
         sc = sc.with_links(links);
     }
@@ -466,6 +450,7 @@ pub fn execute(command: Command) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtmac::scenario::{Param, TrafficSpec};
 
     fn quick_opts() -> NetworkOpts {
         NetworkOpts {
@@ -474,16 +459,18 @@ mod tests {
             deadline_us: 2000,
             payload: 100,
             p: 0.8,
-            arrivals: ArrivalSpec::Bernoulli(0.7),
+            arrivals: TrafficSpec::Bernoulli {
+                lambda: Param::Uniform(0.7),
+            },
             ratio: 0.9,
-            intervals: 100,
-            seed: 1,
+            intervals: Some(100),
+            seed: Some(1),
         }
     }
 
     #[test]
     fn run_report_lists_every_link() {
-        let sc = quick_opts().to_scenario(PolicySpec::Ldf).unwrap();
+        let sc = quick_opts().to_scenario(Some(PolicySpec::Ldf)).unwrap();
         let report = run_scenario(&sc).unwrap();
         let text = render_run(&sc, &report);
         for i in 0..3 {
@@ -498,8 +485,8 @@ mod tests {
     fn named_scenario_runs_end_to_end() {
         let mut opts = quick_opts();
         opts.scenario = Some("tiny".to_string());
-        opts.intervals = 50;
-        let sc = opts.to_scenario(PolicySpec::Ldf).unwrap();
+        opts.intervals = Some(50);
+        let sc = opts.to_scenario(Some(PolicySpec::Ldf)).unwrap();
         assert_eq!((sc.name, sc.intervals), ("tiny", 50));
         let report = run_scenario(&sc).unwrap();
         assert_eq!(report.intervals, 50);
@@ -510,8 +497,8 @@ mod tests {
     fn robustness_scenario_reports_fault_and_admission_counters() {
         let mut opts = quick_opts();
         opts.scenario = Some("overload-admission".to_string());
-        opts.intervals = 200;
-        let sc = opts.to_scenario(PolicySpec::db_dp()).unwrap();
+        opts.intervals = Some(200);
+        let sc = opts.to_scenario(Some(PolicySpec::db_dp())).unwrap();
         let report = run_scenario(&sc).unwrap();
         let text = render_run(&sc, &report);
         assert!(text.contains("faults:"), "missing fault line:\n{text}");
@@ -520,7 +507,7 @@ mod tests {
             "missing admission line:\n{text}"
         );
         // Pristine runs keep the historical report shape.
-        let sc = quick_opts().to_scenario(PolicySpec::db_dp()).unwrap();
+        let sc = quick_opts().to_scenario(Some(PolicySpec::db_dp())).unwrap();
         let text = render_run(&sc, &run_scenario(&sc).unwrap());
         assert!(!text.contains("faults:"));
         assert!(!text.contains("admission:"));
@@ -541,38 +528,36 @@ mod tests {
 
     #[test]
     fn sweep_single_step_uses_from() {
-        let out = render_sweep(&quick_opts(), SweepParam::Ratio, 0.85, 0.99, 1, false).unwrap();
+        let out = render_sweep(&quick_opts(), Axis::Ratio, 0.85, 0.99, 1, false).unwrap();
         assert!(out.contains("0.8500"));
         assert!(!out.contains("0.9900"));
     }
 
     #[test]
     fn sweep_endpoints_inclusive() {
-        let out = render_sweep(
-            &quick_opts(),
-            SweepParam::SuccessProbability,
-            0.5,
-            0.9,
-            3,
-            false,
-        )
-        .unwrap();
+        let out =
+            render_sweep(&quick_opts(), Axis::SuccessProbability, 0.5, 0.9, 3, false).unwrap();
         assert!(out.contains("0.5000") && out.contains("0.7000") && out.contains("0.9000"));
     }
 
     #[test]
     fn sweep_overrides_per_link_scenarios_uniformly() {
-        let sc = apply_sweep(
-            rtmac::scenario::by_name("asym").unwrap(),
-            SweepParam::Alpha,
-            0.5,
-        );
-        assert_eq!(
-            sc.traffic,
-            TrafficSpec::Burst {
-                alpha: Param::Uniform(0.5),
-                burst_max: 6
-            }
+        let opts = NetworkOpts {
+            scenario: Some("asym".to_string()),
+            intervals: Some(20),
+            ..NetworkOpts::default()
+        };
+        let out = render_sweep(&opts, Axis::Alpha, 0.5, 0.5, 1, false).unwrap();
+        let mut uniform = rtmac::scenario::by_name("asym").unwrap();
+        uniform.traffic = TrafficSpec::Burst {
+            alpha: Param::Uniform(0.5),
+            burst_max: 6,
+        };
+        uniform.intervals = 20;
+        let db_dp = run_scenario(&uniform).unwrap().final_total_deficiency;
+        assert!(
+            out.contains(&format!("{:>12.4} {db_dp:>12.4} ", 0.5)),
+            "{out}"
         );
     }
 
@@ -596,7 +581,7 @@ mod tests {
             scenario: "/no/such/scenario".to_string(),
             ..EmulateOpts::default()
         };
-        assert!(matches!(run_emulate(&opts), Err(CliError::Invalid(_))));
+        assert!(matches!(run_emulate(&opts), Err(CliError::BadValue { .. })));
     }
 
     #[test]

@@ -1,17 +1,22 @@
 //! # rtmac-cli
 //!
-//! A command-line front end for the `rtmac` simulator. Three subcommands:
+//! A command-line front end for the `rtmac` simulator:
 //!
 //! * `rtmac run` — simulate one network/policy and print a report.
 //! * `rtmac compare` — run DB-DP, LDF, and FCSMA on the same network.
 //! * `rtmac sweep` — sweep one parameter (`alpha`, `lambda`, `ratio`, or
 //!   `p`) and print a deficiency series per policy.
+//! * `rtmac timeline` — ASCII traces of the DP protocol on the air.
+//! * `rtmac emulate` / `rtmac netd` — run a deployment over a transport
+//!   (`rtmac-net`).
 //!
-//! Every subcommand can pull a named workload from the simulator's
-//! scenario registry instead of spelling out the network flags:
+//! `run`, `compare`, `sweep` and `emulate` take `--scenario` as a registry
+//! name or a deployment file, resolved by
+//! [`rtmac_net::scenario_file::load`] exactly as `rtmac-netd` resolves it:
 //!
 //! ```text
 //! rtmac run --scenario video20
+//! rtmac run --scenario examples/control10.scenario --policy ldf
 //! rtmac sweep --scenario control10 --param lambda --from 0.5 --to 0.9
 //! ```
 //!
@@ -25,9 +30,12 @@
 //!
 //! Either way, the grammar bottoms out in a [`rtmac::Scenario`]
 //! ([`NetworkOpts::to_scenario`]), so the CLI runs exactly the
-//! configurations the benchmark suite does. [`render_run_command`] is the
-//! inverse — it renders a flag-expressible scenario back into `rtmac run`
-//! tokens, and the round trip is property-tested.
+//! configurations the benchmark suite does. `--arrivals`, `--policy` and
+//! `--param` take the spellings of `TrafficSpec::parse`,
+//! `PolicySpec::parse` and `Axis::parse` in [`rtmac::scenario`] — the
+//! grammar deployment files use. [`render_run_command`] is the inverse —
+//! it renders a flag-expressible scenario back into `rtmac run` tokens,
+//! and the round trip is property-tested.
 //!
 //! The argument grammar is deliberately tiny and hand-rolled (the workspace
 //! carries no CLI dependency); [`parse`] is a pure function so every corner
@@ -37,8 +45,7 @@ mod args;
 mod exec;
 
 pub use args::{
-    parse, policy_flag, render_run_command, ArrivalSpec, CliError, Command, EmulateOpts,
-    NetworkOpts, PolicySpec, SweepParam,
+    parse, render_run_command, CliError, Command, EmulateOpts, NetworkOpts, PolicySpec,
 };
 pub use exec::execute;
 

@@ -13,15 +13,19 @@ fn policy_by_index(i: usize) -> PolicySpec {
         2 => PolicySpec::eldf(),
         3 => PolicySpec::Fcsma,
         4 => PolicySpec::Dcf,
-        _ => PolicySpec::frame_csma(),
+        5 => PolicySpec::frame_csma(),
+        6 => PolicySpec::db_dp_pairs(3),
+        _ => PolicySpec::FixedPriority,
     }
 }
 
-fn traffic_by_index(kind: usize, rate: f64) -> TrafficSpec {
-    match kind {
+/// `index % 3` picks the kind; burst traffic takes `1 + index / 3` as its
+/// maximum burst.
+fn traffic_by_index(index: usize, rate: f64) -> TrafficSpec {
+    match index % 3 {
         0 => TrafficSpec::Burst {
             alpha: Param::Uniform(rate),
-            burst_max: 6,
+            burst_max: 1 + (index / 3) as u32,
         },
         1 => TrafficSpec::Bernoulli {
             lambda: Param::Uniform(rate),
@@ -37,12 +41,12 @@ proptest! {
         deadline_us in 100u64..100_000,
         payload in 1u32..3000,
         p in 0.01f64..1.0,
-        traffic_kind in 0usize..3,
+        traffic_kind in 0usize..36,
         rate in 0.01f64..1.0,
         ratio in 0.01f64..1.0,
         intervals in 1usize..10_000,
         seed in 0u64..u64::MAX,
-        policy_i in 0usize..6,
+        policy_i in 0usize..8,
     ) {
         let sc = Scenario {
             name: "custom",

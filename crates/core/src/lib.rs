@@ -21,32 +21,34 @@
 //!   which is feasibility-optimal (Theorem 1) while remaining fully
 //!   decentralized.
 //!
-//! This crate ties the substrates together: build a [`Network`], pick a
-//! [`PolicyKind`], run intervals, and read a [`RunReport`].
+//! This crate ties the substrates together: describe an experiment as a
+//! [`Scenario`] (or start from the [`scenario`] registry), build its
+//! [`Network`], run intervals, and read a [`RunReport`]. The same
+//! `Scenario` has one text form — the `TrafficSpec`, `PolicySpec` and
+//! `Param` spellings in [`scenario`] — that the `rtmac` CLI and the
+//! deployment files of `rtmac-net` share.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use rtmac::{Network, PolicyKind};
-//! use rtmac_model::influence::PaperLog;
+//! use rtmac::scenario::{self, Param, Scenario};
 //!
 //! // A small symmetric network: 4 links, p = 0.8, 2 ms deadline, 100 B
-//! // control packets, one arrival per interval, 95% delivery ratio.
-//! let mut network = Network::builder()
-//!     .links(4)
-//!     .deadline_ms(2)
-//!     .payload_bytes(100)
-//!     .uniform_success_probability(0.8)
-//!     .bernoulli_arrivals(1.0)
-//!     .delivery_ratio(0.95)
-//!     .policy(PolicyKind::db_dp())
-//!     .seed(42)
-//!     .build()?;
-//! let report = network.run(500);
+//! // control packets, one arrival per interval, 95% delivery ratio,
+//! // DB-DP, seed 42.
+//! let sc = Scenario {
+//!     success: Param::Uniform(0.8),
+//!     ..scenario::control(4, 1.0, 0.95, 42)
+//! };
+//! let report = sc.network()?.run(500);
 //! // The requirement is comfortably feasible: deficiency dies out.
 //! assert!(report.final_total_deficiency < 0.05);
 //! # Ok::<(), rtmac_model::ConfigError>(())
 //! ```
+//!
+//! [`Scenario::to_builder`] hands back the [`NetworkBuilder`] for what a
+//! `Scenario` does not describe (a custom loss model, per-link payloads,
+//! explicit requirements, a [`PolicyKind`] with a custom influence).
 
 pub mod admission;
 mod network;

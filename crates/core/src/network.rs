@@ -9,7 +9,7 @@ use rtmac_phy::channel::{Bernoulli, LossModel};
 use rtmac_phy::fault::{BurstSensing, ChurnProcess, ChurnSchedule, FaultModel, HiddenMatrix};
 use rtmac_phy::PhyProfile;
 use rtmac_sim::{Nanos, SeedStream, SimRng};
-use rtmac_traffic::{ArrivalProcess, BernoulliArrivals, BurstUniform, ConstantArrivals};
+use rtmac_traffic::ArrivalProcess;
 
 use crate::admission::{self, AdmissionReport};
 use crate::scenario::{AdmissionSpec, FaultSpec};
@@ -297,7 +297,6 @@ pub struct NetworkBuilder {
     deadline: Nanos,
     payload_bytes: u32,
     link_payloads: Option<Vec<u32>>,
-    phy: PhyProfile,
     success: Option<Vec<f64>>,
     traffic: Option<Box<dyn ArrivalProcess>>,
     requirements: Option<Requirements>,
@@ -317,7 +316,6 @@ impl Default for NetworkBuilder {
             deadline: Nanos::from_millis(20),
             payload_bytes: 1500,
             link_payloads: None,
-            phy: PhyProfile::ieee80211a(),
             success: None,
             traffic: None,
             requirements: None,
@@ -340,14 +338,7 @@ impl NetworkBuilder {
         self
     }
 
-    /// Sets the per-packet deadline in milliseconds (default 20).
-    #[must_use]
-    pub fn deadline_ms(mut self, ms: u64) -> Self {
-        self.deadline = Nanos::from_millis(ms);
-        self
-    }
-
-    /// Sets the per-packet deadline exactly.
+    /// Sets the per-packet deadline (default 20 ms).
     #[must_use]
     pub fn deadline(mut self, t: Nanos) -> Self {
         self.deadline = t;
@@ -370,20 +361,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Sets the PHY profile (default IEEE 802.11a).
-    #[must_use]
-    pub fn phy(mut self, phy: PhyProfile) -> Self {
-        self.phy = phy;
-        self
-    }
-
-    /// Every link succeeds with probability `p`.
-    #[must_use]
-    pub fn uniform_success_probability(mut self, p: f64) -> Self {
-        self.success = Some(vec![p; self.n_links]);
-        self
-    }
-
     /// Per-link success probabilities.
     #[must_use]
     pub fn success_probabilities(mut self, p: Vec<f64>) -> Self {
@@ -398,48 +375,8 @@ impl NetworkBuilder {
         self
     }
 
-    /// The paper's video traffic: `U{1..6}` packets with probability
-    /// `alpha`, else none.
-    ///
-    /// Call after [`links`](Self::links); validation happens in
-    /// [`build`](Self::build).
-    #[must_use]
-    pub fn burst_arrivals(mut self, alpha: f64) -> Self {
-        // An invalid alpha leaves traffic unset; build() then reports the
-        // missing/invalid arrival process.
-        self.traffic = BurstUniform::symmetric(self.n_links.max(1), alpha, 6)
-            .ok()
-            .map(|t| Box::new(t) as Box<dyn ArrivalProcess>);
-        self
-    }
-
-    /// The paper's control traffic: one packet with probability `lambda`.
-    #[must_use]
-    pub fn bernoulli_arrivals(mut self, lambda: f64) -> Self {
-        self.traffic = BernoulliArrivals::symmetric(self.n_links.max(1), lambda)
-            .ok()
-            .map(|t| Box::new(t) as Box<dyn ArrivalProcess>);
-        self
-    }
-
-    /// Exactly one packet per link per interval.
-    #[must_use]
-    pub fn constant_arrivals(mut self) -> Self {
-        self.traffic = ConstantArrivals::one_each(self.n_links.max(1))
-            .ok()
-            .map(|t| Box::new(t) as Box<dyn ArrivalProcess>);
-        self
-    }
-
-    /// Requires delivery ratio `rho` on every link (`q_n = ρ·λ_n`, with
-    /// `λ_n` taken from the traffic process).
-    #[must_use]
-    pub fn delivery_ratio(mut self, rho: f64) -> Self {
-        self.delivery_ratio = Some(vec![rho; self.n_links]);
-        self
-    }
-
-    /// Per-link delivery ratios.
+    /// Per-link delivery ratios (`q_n = ρ_n·λ_n`, with `λ_n` taken from
+    /// the traffic process).
     #[must_use]
     pub fn delivery_ratios(mut self, rho: Vec<f64>) -> Self {
         self.delivery_ratio = Some(rho);
@@ -543,7 +480,7 @@ impl NetworkBuilder {
             }
             (None, None) => {
                 return Err(ConfigError::InvalidParameter {
-                    name: "requirements (set delivery_ratio or requirements)",
+                    name: "requirements (set delivery_ratios or requirements)",
                     value: f64::NAN,
                 })
             }
@@ -574,7 +511,11 @@ impl NetworkBuilder {
             name: "policy (call .policy(PolicyKind::...))",
             value: f64::NAN,
         })?;
-        let mut timing = MacTiming::new(self.phy, config.deadline(), self.payload_bytes);
+        let mut timing = MacTiming::new(
+            PhyProfile::ieee80211a(),
+            config.deadline(),
+            self.payload_bytes,
+        );
         if let Some(payloads) = self.link_payloads {
             if payloads.len() != config.n_links() {
                 return Err(ConfigError::LengthMismatch {
@@ -892,16 +833,16 @@ impl NetworkBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{self, Param, Scenario};
+    use rtmac_traffic::BernoulliArrivals;
 
+    /// Four control links at `p = 0.8`, `λ = 0.9`, 90% delivery, seed 1.
     fn base_builder() -> NetworkBuilder {
-        Network::builder()
-            .links(4)
-            .deadline_ms(2)
-            .payload_bytes(100)
-            .uniform_success_probability(0.8)
-            .bernoulli_arrivals(0.9)
-            .delivery_ratio(0.9)
-            .seed(1)
+        Scenario {
+            success: Param::Uniform(0.8),
+            ..scenario::control(4, 0.9, 0.9, 1)
+        }
+        .to_builder()
     }
 
     #[test]
@@ -945,22 +886,23 @@ mod tests {
 
     #[test]
     fn missing_pieces_are_reported() {
+        let traffic = || Box::new(BernoulliArrivals::symmetric(2, 0.5).unwrap());
         assert!(Network::builder().links(2).build().is_err()); // no traffic
         assert!(Network::builder()
             .links(2)
-            .bernoulli_arrivals(0.5)
+            .traffic(traffic())
             .build()
             .is_err()); // no requirements
         assert!(Network::builder()
             .links(2)
-            .bernoulli_arrivals(0.5)
-            .delivery_ratio(0.9)
+            .traffic(traffic())
+            .delivery_ratios(vec![0.9; 2])
             .build()
             .is_err()); // no policy
         assert!(Network::builder()
             .links(0)
-            .bernoulli_arrivals(0.5)
-            .delivery_ratio(0.9)
+            .traffic(traffic())
+            .delivery_ratios(vec![0.9; 2])
             .policy(PolicyKind::Ldf)
             .build()
             .is_err()); // no links

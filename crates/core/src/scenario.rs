@@ -69,7 +69,48 @@ impl Param {
             Param::PerLink(_) => None,
         }
     }
+
+    /// The spelling [`Param::parse`] accepts, for error messages.
+    pub const GRAMMAR: &'static str = "a number, or a per-link comma list (x,y,... ; one link: x,)";
+
+    /// Parses `x` as [`Param::Uniform`] and a comma list `x,y,...` as
+    /// [`Param::PerLink`]; a trailing comma (`x,`) makes a one-link list.
+    /// Empty list entries are skipped. `None` if a number does not parse
+    /// or the list is empty. Values are not range-checked here;
+    /// [`NetworkBuilder::build`] validates them.
+    #[must_use]
+    pub fn parse(text: &str) -> Option<Param> {
+        let text = text.trim();
+        if !text.contains(',') {
+            return text.parse().ok().map(Param::Uniform);
+        }
+        let values = text
+            .split(',')
+            .map(str::trim)
+            .filter(|part| !part.is_empty())
+            .map(|part| part.parse().ok())
+            .collect::<Option<Vec<f64>>>()?;
+        (!values.is_empty()).then_some(Param::PerLink(values))
+    }
+
+    /// The [`Param::parse`] spelling; `None` for an empty per-link list.
+    #[must_use]
+    pub fn render(&self) -> Option<String> {
+        match self {
+            Param::Uniform(v) => Some(v.to_string()),
+            Param::PerLink(v) if v.is_empty() => None,
+            // A trailing comma keeps a one-element per-link vector distinct
+            // from a uniform value.
+            Param::PerLink(v) if v.len() == 1 => Some(format!("{},", v[0])),
+            Param::PerLink(v) => Some(v.iter().map(f64::to_string).collect::<Vec<_>>().join(",")),
+        }
+    }
 }
+
+/// The paper's maximum video burst, `U{1..=6}`: the registry's burst
+/// size, the one a traffic spelling without one gets, and the one a sweep
+/// switching to burst traffic uses.
+const BURST_MAX: u32 = 6;
 
 /// Declarative arrival-process selection.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,22 +133,62 @@ pub enum TrafficSpec {
 }
 
 impl TrafficSpec {
-    /// Instantiates the arrival process for `n_links` links. Invalid
-    /// parameters yield `None`, which [`NetworkBuilder::build`] reports as
-    /// a missing/invalid arrival process.
-    fn instantiate(&self, n_links: usize) -> Option<Box<dyn ArrivalProcess>> {
-        match self {
+    /// Instantiates the arrival process for `n_links` links.
+    ///
+    /// # Errors
+    ///
+    /// Returns the arrival process's own [`ConfigError`] for invalid
+    /// parameters (a rate outside `[0, 1]`, no links, `burst_max == 0`).
+    pub fn instantiate(&self, n_links: usize) -> Result<Box<dyn ArrivalProcess>, ConfigError> {
+        Ok(match self {
             TrafficSpec::Burst { alpha, burst_max } => {
-                BurstUniform::new(alpha.expand(n_links), *burst_max)
-                    .ok()
-                    .map(|t| Box::new(t) as Box<dyn ArrivalProcess>)
+                Box::new(BurstUniform::new(alpha.expand(n_links), *burst_max)?)
             }
-            TrafficSpec::Bernoulli { lambda } => BernoulliArrivals::new(lambda.expand(n_links))
-                .ok()
-                .map(|t| Box::new(t) as Box<dyn ArrivalProcess>),
-            TrafficSpec::Constant => ConstantArrivals::one_each(n_links)
-                .ok()
-                .map(|t| Box::new(t) as Box<dyn ArrivalProcess>),
+            TrafficSpec::Bernoulli { lambda } => {
+                Box::new(BernoulliArrivals::new(lambda.expand(n_links))?)
+            }
+            TrafficSpec::Constant => Box::new(ConstantArrivals::one_each(n_links)?),
+        })
+    }
+
+    /// The spelling [`TrafficSpec::parse`] accepts, for error messages.
+    pub const GRAMMAR: &'static str = "constant, bernoulli:LAMBDA, burst:ALPHA, or burst:ALPHA:MAX";
+
+    /// Parses `constant`, `bernoulli:LAMBDA`, `burst:ALPHA` (maximum burst
+    /// 6) or `burst:ALPHA:MAX`, where `LAMBDA` and `ALPHA` are
+    /// [`Param::parse`] spellings. `None` for anything else.
+    #[must_use]
+    pub fn parse(text: &str) -> Option<TrafficSpec> {
+        let text = text.trim();
+        if text == "constant" {
+            return Some(TrafficSpec::Constant);
+        }
+        if let Some(lambda) = text.strip_prefix("bernoulli:") {
+            return Some(TrafficSpec::Bernoulli {
+                lambda: Param::parse(lambda)?,
+            });
+        }
+        let rest = text.strip_prefix("burst:")?;
+        let (alpha, burst_max) = match rest.rsplit_once(':') {
+            Some((alpha, burst_max)) => (alpha, burst_max.trim().parse().ok()?),
+            None => (rest, BURST_MAX),
+        };
+        Some(TrafficSpec::Burst {
+            alpha: Param::parse(alpha)?,
+            burst_max,
+        })
+    }
+
+    /// The canonical [`TrafficSpec::parse`] spelling (burst traffic always
+    /// names its maximum); `None` if a parameter cannot be rendered.
+    #[must_use]
+    pub fn render(&self) -> Option<String> {
+        match self {
+            TrafficSpec::Constant => Some("constant".to_string()),
+            TrafficSpec::Bernoulli { lambda } => Some(format!("bernoulli:{}", lambda.render()?)),
+            TrafficSpec::Burst { alpha, burst_max } => {
+                Some(format!("burst:{}:{burst_max}", alpha.render()?))
+            }
         }
     }
 }
@@ -184,11 +265,7 @@ impl PolicySpec {
     /// DB-DP with the paper's simulation parameters.
     #[must_use]
     pub fn db_dp() -> Self {
-        PolicySpec::DbDp {
-            influence: InfluenceSpec::PaperLog,
-            r: 10.0,
-            swap_pairs: 1,
-        }
+        Self::db_dp_pairs(1)
     }
 
     /// DB-DP with `pairs` simultaneous swap pairs (Remark 6).
@@ -213,10 +290,77 @@ impl PolicySpec {
     /// phase.
     #[must_use]
     pub fn frame_csma() -> Self {
+        Self::frame_csma_slots(32)
+    }
+
+    /// Frame-based CSMA with linear debt weights and `control_slots`
+    /// backoff slots.
+    fn frame_csma_slots(control_slots: u32) -> Self {
         PolicySpec::FrameCsma {
             influence: InfluenceSpec::Linear,
-            control_slots: 32,
+            control_slots,
         }
+    }
+
+    /// The spelling [`PolicySpec::parse`] accepts, for error messages.
+    pub const GRAMMAR: &'static str = "db-dp, db-dp:pairs=K, ldf, eldf, fcsma, dcf, \
+         frame-csma, frame-csma:slots=S, or fixed";
+
+    /// Parses a policy name: `db-dp` (or `dbdp`), `db-dp:pairs=K`, `ldf`,
+    /// `eldf`, `fcsma`, `dcf`, `frame-csma` (or `framecsma`),
+    /// `frame-csma:slots=S`, or `fixed`. Every name stands for the
+    /// paper-default parameterization. `None` for anything else.
+    #[must_use]
+    pub fn parse(text: &str) -> Option<PolicySpec> {
+        let text = text.trim();
+        if let Some(pairs) = text.strip_prefix("db-dp:pairs=") {
+            return pairs.parse().ok().map(Self::db_dp_pairs);
+        }
+        if let Some(slots) = text.strip_prefix("frame-csma:slots=") {
+            return slots.parse().ok().map(Self::frame_csma_slots);
+        }
+        Some(match text {
+            "db-dp" | "dbdp" => Self::db_dp(),
+            "ldf" => PolicySpec::Ldf,
+            "eldf" => Self::eldf(),
+            "fcsma" => PolicySpec::Fcsma,
+            "dcf" => PolicySpec::Dcf,
+            "frame-csma" | "framecsma" => Self::frame_csma(),
+            "fixed" => PolicySpec::FixedPriority,
+            _ => return None,
+        })
+    }
+
+    /// The canonical [`PolicySpec::parse`] spelling; `None` for a
+    /// parameterization no name stands for (a custom influence function
+    /// or `R`).
+    #[must_use]
+    pub fn render(&self) -> Option<String> {
+        let text = match *self {
+            PolicySpec::DbDp { swap_pairs, .. } if *self == Self::db_dp_pairs(swap_pairs) => {
+                if swap_pairs == 1 {
+                    "db-dp".to_string()
+                } else {
+                    format!("db-dp:pairs={swap_pairs}")
+                }
+            }
+            PolicySpec::Eldf { .. } if *self == Self::eldf() => "eldf".to_string(),
+            PolicySpec::Ldf => "ldf".to_string(),
+            PolicySpec::Fcsma => "fcsma".to_string(),
+            PolicySpec::Dcf => "dcf".to_string(),
+            PolicySpec::FrameCsma { control_slots, .. }
+                if *self == Self::frame_csma_slots(control_slots) =>
+            {
+                if *self == Self::frame_csma() {
+                    "frame-csma".to_string()
+                } else {
+                    format!("frame-csma:slots={control_slots}")
+                }
+            }
+            PolicySpec::FixedPriority => "fixed".to_string(),
+            _ => return None,
+        };
+        Some(text)
     }
 
     /// Display label (the paper's plotting names).
@@ -647,7 +791,8 @@ impl Scenario {
             .delivery_ratios(self.ratio.expand(self.links))
             .policy(self.policy.kind(self.links))
             .seed(self.seed);
-        if let Some(traffic) = self.traffic.instantiate(self.links) {
+        // Invalid traffic is left unset; build() reports it.
+        if let Ok(traffic) = self.traffic.instantiate(self.links) {
             b = b.traffic(traffic);
         }
         if let Some((link, band)) = self.track {
@@ -697,9 +842,9 @@ impl Scenario {
 /// The parameter a [`Sweep`] varies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Axis {
-    /// Burst probability `α*` (requires [`TrafficSpec::Burst`]).
+    /// Burst probability `α*` of [`TrafficSpec::Burst`].
     Alpha,
-    /// Bernoulli arrival rate `λ*` (requires [`TrafficSpec::Bernoulli`]).
+    /// Bernoulli arrival rate `λ*` of [`TrafficSpec::Bernoulli`].
     Lambda,
     /// Required delivery ratio `ρ`.
     Ratio,
@@ -717,6 +862,33 @@ impl Axis {
             Axis::Ratio => "rho",
             Axis::SuccessProbability => "p",
         }
+    }
+
+    /// The spelling [`Axis::parse`] accepts, for error messages.
+    pub const GRAMMAR: &'static str = "alpha, lambda, ratio, or p";
+
+    /// The axis's `--param` spelling: `alpha`, `lambda`, `ratio`, or `p`.
+    #[must_use]
+    pub fn flag(self) -> &'static str {
+        match self {
+            Axis::Alpha => "alpha",
+            Axis::Lambda => "lambda",
+            Axis::Ratio => "ratio",
+            Axis::SuccessProbability => "p",
+        }
+    }
+
+    /// Parses an [`Axis::flag`] spelling.
+    #[must_use]
+    pub fn parse(text: &str) -> Option<Axis> {
+        [
+            Axis::Alpha,
+            Axis::Lambda,
+            Axis::Ratio,
+            Axis::SuccessProbability,
+        ]
+        .into_iter()
+        .find(|axis| axis.flag() == text)
     }
 }
 
@@ -740,13 +912,10 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// The scenario at sweep position `x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the axis does not match the base scenario's traffic kind
-    /// (e.g. [`Axis::Alpha`] over Bernoulli traffic) — sweeps come from the
-    /// registry, so this indicates a construction bug.
+    /// The scenario at sweep position `x`. An [`Axis::Alpha`] or
+    /// [`Axis::Lambda`] sweep over a base with another traffic kind
+    /// replaces the arrival process with the swept kind (burst traffic
+    /// with the paper's maximum burst of 6).
     #[must_use]
     pub fn at(&self, x: f64) -> Scenario {
         let param = match &self.shape {
@@ -754,33 +923,23 @@ impl Sweep {
             Some(shape) => Param::PerLink(shape.iter().map(|w| w * x).collect()),
         };
         let mut sc = self.base.clone();
-        match self.axis {
-            Axis::Alpha => match &mut sc.traffic {
-                TrafficSpec::Burst { alpha, .. } => *alpha = param,
-                // lint: allow(panic-macro) — documented `# Panics` contract:
-                // sweeps come from the registry, so an axis/traffic mismatch
-                // is a construction bug worth failing loudly on, not a
-                // runtime condition to propagate.
-                other => panic!("alpha sweep over non-burst traffic {other:?}"),
-            },
-            Axis::Lambda => match &mut sc.traffic {
-                TrafficSpec::Bernoulli { lambda } => *lambda = param,
-                // lint: allow(panic-macro) — same `# Panics` contract as the
-                // alpha arm above.
-                other => panic!("lambda sweep over non-Bernoulli traffic {other:?}"),
-            },
-            Axis::Ratio => sc.ratio = param,
-            Axis::SuccessProbability => sc.success = param,
+        match (self.axis, &mut sc.traffic) {
+            (Axis::Alpha, TrafficSpec::Burst { alpha, .. }) => *alpha = param,
+            (Axis::Alpha, traffic) => {
+                *traffic = TrafficSpec::Burst {
+                    alpha: param,
+                    burst_max: BURST_MAX,
+                };
+            }
+            (Axis::Lambda, TrafficSpec::Bernoulli { lambda }) => *lambda = param,
+            (Axis::Lambda, traffic) => *traffic = TrafficSpec::Bernoulli { lambda: param },
+            (Axis::Ratio, _) => sc.ratio = param,
+            (Axis::SuccessProbability, _) => sc.success = param,
         }
         sc
     }
 
     /// All sweep points as scenarios, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sweep axis mismatches the base scenario's traffic
-    /// kind, as in [`Sweep::at`].
     #[must_use]
     pub fn scenarios(&self) -> Vec<Scenario> {
         self.points.iter().map(|&x| self.at(x)).collect()
@@ -815,7 +974,7 @@ pub fn video(n: usize, alpha: f64, rho: f64, seed: u64) -> Scenario {
         success: Param::Uniform(0.7),
         traffic: TrafficSpec::Burst {
             alpha: Param::Uniform(alpha),
-            burst_max: 6,
+            burst_max: BURST_MAX,
         },
         ratio: Param::Uniform(rho),
         policy: PolicySpec::db_dp(),
@@ -842,7 +1001,7 @@ pub fn video_per_link(alpha: Vec<f64>, p: Vec<f64>, rho: Vec<f64>, seed: u64) ->
         success: Param::PerLink(p),
         traffic: TrafficSpec::Burst {
             alpha: Param::PerLink(alpha),
-            burst_max: 6,
+            burst_max: BURST_MAX,
         },
         ratio: Param::PerLink(rho),
         policy: PolicySpec::db_dp(),
@@ -896,7 +1055,7 @@ pub fn asym(alpha_star: f64, rho: f64, seed: u64) -> Scenario {
         success: Param::PerLink(p),
         traffic: TrafficSpec::Burst {
             alpha: Param::PerLink(alpha),
-            burst_max: 6,
+            burst_max: BURST_MAX,
         },
         ratio: Param::Uniform(rho),
         policy: PolicySpec::db_dp(),
@@ -1219,11 +1378,11 @@ mod tests {
         let traffic = BurstUniform::symmetric(4, 0.5, 6).unwrap();
         let mut net = Network::builder()
             .links(4)
-            .deadline_ms(20)
+            .deadline(Nanos::from_millis(20))
             .payload_bytes(1500)
-            .uniform_success_probability(0.7)
+            .success_probabilities(vec![0.7; 4])
             .traffic(Box::new(traffic))
-            .delivery_ratio(0.9)
+            .delivery_ratios(vec![0.9; 4])
             .policy(PolicyKind::db_dp())
             .seed(7)
             .build()
@@ -1245,6 +1404,72 @@ mod tests {
         );
         assert_eq!(sc.ratio, Param::Uniform(0.9));
         assert_eq!(sweep.scenarios().len(), 7);
+    }
+
+    #[test]
+    fn sweep_at_over_a_mismatched_kind_replaces_the_arrival_process() {
+        // A lambda sweep over burst traffic swaps in Bernoulli arrivals...
+        let sweep = Sweep {
+            axis: Axis::Lambda,
+            ..fig3(100, 1)
+        };
+        let sc = sweep.at(0.6);
+        assert_eq!(
+            sc.traffic,
+            TrafficSpec::Bernoulli {
+                lambda: Param::Uniform(0.6)
+            }
+        );
+        // ...and an alpha sweep over Bernoulli or constant traffic swaps in
+        // burst arrivals with the paper's maximum burst.
+        for base in [control(10, 0.7, 0.99, 1), tiny(1)] {
+            let sweep = Sweep {
+                name: "mismatch",
+                base,
+                axis: Axis::Alpha,
+                points: vec![0.3, 0.5],
+                shape: None,
+            };
+            let scenarios = sweep.scenarios();
+            assert_eq!(
+                scenarios[1].traffic,
+                TrafficSpec::Burst {
+                    alpha: Param::Uniform(0.5),
+                    burst_max: 6
+                }
+            );
+            assert!(scenarios.iter().all(|sc| sc.network().is_ok()));
+        }
+        // A matching kind keeps its burst maximum.
+        let mut base = video(4, 0.5, 0.9, 1);
+        base.traffic = TrafficSpec::Burst {
+            alpha: Param::Uniform(0.5),
+            burst_max: 3,
+        };
+        let sweep = Sweep {
+            base,
+            ..fig3(100, 1)
+        };
+        assert_eq!(
+            sweep.at(0.4).traffic,
+            TrafficSpec::Burst {
+                alpha: Param::Uniform(0.4),
+                burst_max: 3
+            }
+        );
+    }
+
+    #[test]
+    fn axis_flags_round_trip() {
+        for axis in [
+            Axis::Alpha,
+            Axis::Lambda,
+            Axis::Ratio,
+            Axis::SuccessProbability,
+        ] {
+            assert_eq!(Axis::parse(axis.flag()), Some(axis));
+        }
+        assert_eq!(Axis::parse("alpha*"), None);
     }
 
     #[test]
@@ -1288,6 +1513,165 @@ mod tests {
         assert_eq!(PolicySpec::db_dp_pairs(3).label(), "DB-DP 3 pairs");
         assert_eq!(PolicySpec::Ldf.label(), "LDF");
         assert_eq!(PolicySpec::Fcsma.label(), "FCSMA");
+    }
+
+    /// Every spelling the scenario-file grammar or the CLI flag grammar
+    /// accepted before the two were merged, with the value it parsed to.
+    #[test]
+    fn every_historical_spelling_parses_to_its_old_value() {
+        let uniform = Param::Uniform;
+        for (text, want) in [
+            ("0.7", uniform(0.7)),
+            ("1", uniform(1.0)),
+            ("1e-1", uniform(0.1)),
+            ("0.5,0.8", Param::PerLink(vec![0.5, 0.8])),
+            ("0.5, 0.8", Param::PerLink(vec![0.5, 0.8])),
+            ("0.5,,0.8,", Param::PerLink(vec![0.5, 0.8])),
+            ("0.75,", Param::PerLink(vec![0.75])),
+        ] {
+            assert_eq!(Param::parse(text), Some(want), "{text}");
+        }
+        let burst = |alpha: Param, burst_max| TrafficSpec::Burst { alpha, burst_max };
+        let bernoulli = |lambda: Param| TrafficSpec::Bernoulli { lambda };
+        for (text, want) in [
+            // CLI `--arrivals`.
+            ("burst:0.55", burst(uniform(0.55), 6)),
+            ("bernoulli:0.78", bernoulli(uniform(0.78))),
+            ("constant", TrafficSpec::Constant),
+            // Scenario-file `traffic =`.
+            ("burst:0.25:6", burst(uniform(0.25), 6)),
+            ("burst:0.5:3", burst(uniform(0.5), 3)),
+            (
+                "burst:0.35,0.7:6",
+                burst(Param::PerLink(vec![0.35, 0.7]), 6),
+            ),
+            ("burst:0.4,:2", burst(Param::PerLink(vec![0.4]), 2)),
+            ("bernoulli:0.6", bernoulli(uniform(0.6))),
+            (
+                "bernoulli:0.5,0.9",
+                bernoulli(Param::PerLink(vec![0.5, 0.9])),
+            ),
+            ("bernoulli:0.5,", bernoulli(Param::PerLink(vec![0.5]))),
+        ] {
+            assert_eq!(TrafficSpec::parse(text), Some(want), "{text}");
+        }
+        for (text, want) in [
+            ("db-dp", PolicySpec::db_dp()),
+            ("dbdp", PolicySpec::db_dp()),
+            ("db-dp:pairs=1", PolicySpec::db_dp()),
+            ("db-dp:pairs=3", PolicySpec::db_dp_pairs(3)),
+            ("ldf", PolicySpec::Ldf),
+            ("eldf", PolicySpec::eldf()),
+            ("fcsma", PolicySpec::Fcsma),
+            ("dcf", PolicySpec::Dcf),
+            ("frame-csma", PolicySpec::frame_csma()),
+            ("framecsma", PolicySpec::frame_csma()),
+            ("frame-csma:slots=32", PolicySpec::frame_csma()),
+            (
+                "frame-csma:slots=16",
+                PolicySpec::FrameCsma {
+                    influence: InfluenceSpec::Linear,
+                    control_slots: 16,
+                },
+            ),
+            ("fixed", PolicySpec::FixedPriority),
+        ] {
+            assert_eq!(PolicySpec::parse(text), Some(want), "{text}");
+        }
+        // What neither grammar accepted is still refused.
+        for bad in ["", "x", "0.5;0.6", ",", " , "] {
+            assert_eq!(Param::parse(bad), None, "{bad}");
+        }
+        for bad in [
+            "poisson:2",
+            "burst:x",
+            "burst:0.5:x",
+            "burst:",
+            "bernoulli:",
+            "uniform",
+        ] {
+            assert_eq!(TrafficSpec::parse(bad), None, "{bad}");
+        }
+        for bad in ["tdma", "db-dp:pairs=x", "frame-csma:slots=-1", "DB-DP", ""] {
+            assert_eq!(PolicySpec::parse(bad), None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn unrenderable_values_render_to_none() {
+        assert_eq!(Param::PerLink(Vec::new()).render(), None);
+        let traffic = TrafficSpec::Bernoulli {
+            lambda: Param::PerLink(Vec::new()),
+        };
+        assert_eq!(traffic.render(), None);
+        for policy in [
+            PolicySpec::DbDp {
+                influence: InfluenceSpec::Linear,
+                r: 10.0,
+                swap_pairs: 1,
+            },
+            PolicySpec::DbDp {
+                influence: InfluenceSpec::PaperLog,
+                r: 4.0,
+                swap_pairs: 2,
+            },
+            PolicySpec::Eldf {
+                influence: InfluenceSpec::Log1p,
+            },
+            PolicySpec::FrameCsma {
+                influence: InfluenceSpec::PaperLog,
+                control_slots: 32,
+            },
+        ] {
+            assert_eq!(policy.render(), None, "{policy:?}");
+        }
+    }
+
+    fn policy_by_index(i: usize, k: usize, slots: u32) -> PolicySpec {
+        match i {
+            0 => PolicySpec::db_dp(),
+            1 => PolicySpec::db_dp_pairs(k),
+            2 => PolicySpec::Ldf,
+            3 => PolicySpec::eldf(),
+            4 => PolicySpec::Fcsma,
+            5 => PolicySpec::Dcf,
+            6 => PolicySpec::frame_csma(),
+            7 => PolicySpec::frame_csma_slots(slots),
+            _ => PolicySpec::FixedPriority,
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn render_then_parse_is_the_identity(
+            uniform in 0.0f64..1.0,
+            per_link in proptest::collection::vec(0.0f64..1.0, 0..6),
+            kind in 0usize..3,
+            burst_max in 1u32..20,
+            policy_i in 0usize..9,
+            pairs in 0usize..8,
+            slots in 1u32..128,
+        ) {
+            let param = if per_link.is_empty() {
+                Param::Uniform(uniform)
+            } else {
+                Param::PerLink(per_link)
+            };
+            let text = param.render().unwrap();
+            proptest::prop_assert_eq!(Param::parse(&text), Some(param.clone()));
+
+            let traffic = match kind {
+                0 => TrafficSpec::Burst { alpha: param, burst_max },
+                1 => TrafficSpec::Bernoulli { lambda: param },
+                _ => TrafficSpec::Constant,
+            };
+            let text = traffic.render().unwrap();
+            proptest::prop_assert_eq!(TrafficSpec::parse(&text), Some(traffic));
+
+            let policy = policy_by_index(policy_i, pairs, slots);
+            let text = policy.render().unwrap();
+            proptest::prop_assert_eq!(PolicySpec::parse(&text), Some(policy));
+        }
     }
 
     #[test]

@@ -19,8 +19,9 @@ use rtmac::scenario::Scenario;
 use rtmac::RunReport;
 
 use crate::error::NetError;
+use crate::netd;
 use crate::node::{LinkNode, NodeConfig, NodeReport};
-use crate::scenario_file;
+use crate::scenario_file::{self, KeyValues};
 use crate::sim::sim_trace;
 use crate::transport::{LoopbackHub, Transport};
 use crate::udp::UdpTransport;
@@ -343,9 +344,15 @@ pub fn run_emulation_processes(
             )));
         }
         if failure.is_none() {
-            let text = std::fs::read_to_string(&report_path)
-                .map_err(|e| NetError::Io(format!("no report from link {link}: {e}")))?;
-            reports.push(parse_child_report(&text)?);
+            // A bad report fails the run only after every child is reaped
+            // and the scratch directory removed.
+            let report = std::fs::read_to_string(&report_path)
+                .map_err(|e| NetError::Io(format!("no report from link {link}: {e}")))
+                .and_then(|text| parse_child_report(&text));
+            match report {
+                Ok(report) => reports.push(report),
+                Err(e) => failure = Some(e),
+            }
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -403,44 +410,33 @@ struct ChildReport {
     mean_interval: Duration,
 }
 
+/// Reads a child daemon's [`netd::render_report`] text. Every key the
+/// daemon writes must be present with a well-formed value, and nothing
+/// else may appear.
 fn parse_child_report(text: &str) -> Result<ChildReport, NetError> {
-    let mut link = None;
-    let mut fingerprint = None;
-    let mut misses = None;
-    let mut max_us = None;
-    let mut mean_us = None;
-    for line in text.lines() {
-        let Some((key, value)) = line.split_once('=') else {
-            continue;
-        };
-        let value = value.trim();
-        match key.trim() {
-            "link" => link = value.parse::<usize>().ok(),
-            "fingerprint" => {
-                fingerprint = value
-                    .strip_prefix("0x")
-                    .and_then(|hex| u64::from_str_radix(hex, 16).ok());
-            }
-            "misses" => misses = value.parse::<u64>().ok(),
-            "max_interval_us" => max_us = value.parse::<u64>().ok(),
-            "mean_interval_us" => mean_us = value.parse::<u64>().ok(),
-            _ => {}
-        }
+    let kv = KeyValues::read("child report", text, &netd::REPORT_KEYS)?;
+    for key in [
+        netd::REPORT_FRAMES,
+        netd::REPORT_INTERVALS,
+        netd::REPORT_ATTEMPTS,
+    ] {
+        kv.integer::<u64>(key)?;
     }
-    match (link, fingerprint, misses, max_us, mean_us) {
-        (Some(link), Some(fingerprint), Some(misses), Some(max_us), Some(mean_us)) => {
-            Ok(ChildReport {
-                link,
-                fingerprint,
-                misses,
-                max_interval: Duration::from_micros(max_us),
-                mean_interval: Duration::from_micros(mean_us),
-            })
-        }
-        _ => Err(NetError::Io(
-            "child report file is missing required keys".to_string(),
-        )),
-    }
+    let micros = |key| kv.integer(key).map(Duration::from_micros);
+    Ok(ChildReport {
+        link: kv.integer(netd::REPORT_LINK)?,
+        fingerprint: kv.value(
+            netd::REPORT_FINGERPRINT,
+            |v| {
+                v.strip_prefix("0x")
+                    .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+            },
+            "a 0x-prefixed hex number",
+        )?,
+        misses: kv.integer(netd::REPORT_MISSES)?,
+        max_interval: micros(netd::REPORT_MAX_INTERVAL_US)?,
+        mean_interval: micros(netd::REPORT_MEAN_INTERVAL_US)?,
+    })
 }
 
 /// The default location of the `rtmac-netd` binary: next to the current
@@ -567,14 +563,65 @@ mod tests {
         .matches());
     }
 
+    const CHILD_REPORT: &str = "link=4\nfingerprint=0x00000000000000ff\nframes=30\nmisses=2\n\
+                                max_interval_us=900\nmean_interval_us=120\nintervals=10\n\
+                                attempts=7\n";
+
     #[test]
     fn child_report_round_trip_parses() {
-        let text =
-            "link=4\nfingerprint=0x00ff\nmisses=2\nmax_interval_us=900\nmean_interval_us=120\n";
-        let report = parse_child_report(text).unwrap();
+        let report = parse_child_report(CHILD_REPORT).unwrap();
         assert_eq!(report.link, 4);
         assert_eq!(report.fingerprint, 0xff);
         assert_eq!(report.misses, 2);
-        assert!(parse_child_report("link=1\n").is_err());
+        assert_eq!(report.max_interval, Duration::from_micros(900));
+        assert_eq!(report.mean_interval, Duration::from_micros(120));
+    }
+
+    #[test]
+    fn damaged_child_reports_are_parse_errors_naming_the_fault() {
+        let line_of = |text: &str| match parse_child_report(text) {
+            Err(NetError::Parse { line, msg }) => (line, msg),
+            other => panic!("expected a parse error, got {other:?}"),
+        };
+        // Corrupted: a line lost its `=`, and a key was garbled.
+        let (line, msg) = line_of(&CHILD_REPORT.replace("misses=2", "misses 2"));
+        assert_eq!(line, 4, "{msg}");
+        let (line, msg) = line_of(&CHILD_REPORT.replace("frames=", "fr@mes="));
+        assert!(line == 3 && msg.contains("fr@mes"), "{msg}");
+        // A bad value names its key and value.
+        let (line, msg) = line_of(&CHILD_REPORT.replace("misses=2", "misses=two"));
+        assert!(
+            line == 4 && msg.contains("misses") && msg.contains("`two`"),
+            "{msg}"
+        );
+        // Truncated: the tail of the file never arrived.
+        let truncated: String = CHILD_REPORT
+            .lines()
+            .take(5)
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let (line, msg) = line_of(&truncated);
+        assert!(line == 0 && msg.contains("missing required key"), "{msg}");
+        // Bad hex: no prefix, and a non-hex digit.
+        for bad in ["fingerprint=00ff", "fingerprint=0xfg"] {
+            let (line, msg) = line_of(&CHILD_REPORT.replace("fingerprint=0x00000000000000ff", bad));
+            assert!(line == 2 && msg.contains("fingerprint"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn child_reports_read_what_the_daemon_writes() {
+        let sc = scenario::by_name("tiny").unwrap().with_links(1);
+        let ep = LoopbackHub::endpoints(1).remove(0);
+        let node = LinkNode::new(ep, NodeConfig::new(sc, 3))
+            .unwrap()
+            .run()
+            .unwrap();
+        let child = parse_child_report(&netd::render_report(&node)).unwrap();
+        assert_eq!(
+            (child.link, child.fingerprint),
+            (node.link, node.fingerprint)
+        );
+        assert_eq!(child.misses, node.misses);
     }
 }

@@ -63,11 +63,14 @@ pub enum NetError {
     /// The requested operation is outside this layer's scope (e.g.
     /// rendering a fault-injection scenario to a deployment file).
     Unsupported(String),
-    /// A deployment scenario file failed to parse.
+    /// A `key = value` text — a deployment scenario file or a child
+    /// daemon's report — failed to parse.
     Parse {
-        /// 1-based line number of the offending line.
+        /// 1-based line number of the offending line (0 when the problem
+        /// is the text as a whole, e.g. a missing key).
         line: usize,
-        /// What was wrong with it.
+        /// The full message: the kind of text, the line, and what was
+        /// wrong with it.
         msg: String,
     },
 }
@@ -102,7 +105,7 @@ impl fmt::Display for NetError {
                 "{what} mismatch: expected {expected:#018x}, got {got:#018x}"
             ),
             NetError::Unsupported(msg) => write!(f, "unsupported: {msg}"),
-            NetError::Parse { line, msg } => write!(f, "scenario file line {line}: {msg}"),
+            NetError::Parse { msg, .. } => f.write_str(msg),
         }
     }
 }

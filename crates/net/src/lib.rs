@@ -38,7 +38,10 @@
 //!   exchanging frames over UDP. [`run_emulation_processes`] launches and
 //!   harvests a whole fleet of them.
 //! * [`scenario_file`] — the deployment config format: a scenario as a
-//!   plain-text `key = value` file that `rtmac-netd --scenario` loads.
+//!   plain-text `key = value` file. [`scenario_file::load`] is the one
+//!   `--scenario` resolver: `rtmac-netd`, `rtmac emulate` and `rtmac
+//!   run`/`compare`/`sweep` all call it. The file owns only the framing;
+//!   the values are the scenario grammar of `rtmac::scenario`.
 //!
 //! ```
 //! use rtmac_net::{run_emulation, sim_trace, EmulationConfig};

@@ -176,6 +176,34 @@ pub fn run(opts: &NetdOpts) -> Result<NodeReport, NetError> {
     Ok(report)
 }
 
+/// Report key: the node's link index.
+pub(crate) const REPORT_LINK: &str = "link";
+/// Report key: the decision-trace fingerprint, `0x`-prefixed hex.
+pub(crate) const REPORT_FINGERPRINT: &str = "fingerprint";
+/// Report key: frames the node broadcast.
+pub(crate) const REPORT_FRAMES: &str = "frames";
+/// Report key: wall-clock deadline misses.
+pub(crate) const REPORT_MISSES: &str = "misses";
+/// Report key: the slowest interval, in microseconds.
+pub(crate) const REPORT_MAX_INTERVAL_US: &str = "max_interval_us";
+/// Report key: the mean interval, in microseconds.
+pub(crate) const REPORT_MEAN_INTERVAL_US: &str = "mean_interval_us";
+/// Report key: intervals run.
+pub(crate) const REPORT_INTERVALS: &str = "intervals";
+/// Report key: transmission attempts summed over links.
+pub(crate) const REPORT_ATTEMPTS: &str = "attempts";
+/// Every report key, in the order [`render_report`] writes them.
+pub(crate) const REPORT_KEYS: [&str; 8] = [
+    REPORT_LINK,
+    REPORT_FINGERPRINT,
+    REPORT_FRAMES,
+    REPORT_MISSES,
+    REPORT_MAX_INTERVAL_US,
+    REPORT_MEAN_INTERVAL_US,
+    REPORT_INTERVALS,
+    REPORT_ATTEMPTS,
+];
+
 /// Renders a node report in the `key=value` format the emulation harness
 /// reads back.
 ///
@@ -191,17 +219,21 @@ pub fn run(opts: &NetdOpts) -> Result<NodeReport, NetError> {
 /// ```
 #[must_use]
 pub fn render_report(report: &NodeReport) -> String {
-    format!(
-        "link={}\nfingerprint={:#018x}\nframes={}\nmisses={}\nmax_interval_us={}\nmean_interval_us={}\nintervals={}\nattempts={}\n",
-        report.link,
-        report.fingerprint,
-        report.frames,
-        report.misses,
-        report.max_interval.as_micros(),
-        report.mean_interval.as_micros(),
-        report.report.intervals,
-        report.report.attempts.iter().sum::<u64>(),
-    )
+    let values = [
+        report.link.to_string(),
+        format!("{:#018x}", report.fingerprint),
+        report.frames.to_string(),
+        report.misses.to_string(),
+        report.max_interval.as_micros().to_string(),
+        report.mean_interval.as_micros().to_string(),
+        report.report.intervals.to_string(),
+        report.report.attempts.iter().sum::<u64>().to_string(),
+    ];
+    REPORT_KEYS
+        .iter()
+        .zip(values)
+        .map(|(key, value)| format!("{key}={value}\n"))
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
-//! On-disk scenario descriptions for `rtmac-netd`.
+//! On-disk scenario descriptions: the deployment files `rtmac-netd`,
+//! `rtmac emulate` and the `rtmac` subcommands `run`, `compare` and
+//! `sweep` load through [`load`].
 //!
 //! Every node of a deployment must construct an *identical* [`Scenario`]
-//! — the handshake digests it — so the daemon accepts either a registry
+//! — the handshake digests it — so `--scenario` accepts either a registry
 //! name (`rtmac::scenario::by_name`) or a file in a deliberately tiny
 //! `key = value` format that [`render`] and [`parse`] round-trip exactly:
 //! `parse(&render(sc)?)? == sc` for every renderable scenario, and
@@ -10,16 +12,20 @@
 //! control, tracking, multi-replication runs, non-default policy
 //! parameterizations).
 //!
+//! This module owns only the framing. The values are the spellings of
+//! [`Param::parse`], [`TrafficSpec::parse`] and [`PolicySpec::parse`] —
+//! the same grammar the CLI's `--arrivals` and `--policy` flags take.
+//!
 //! ```text
 //! # one key per line; '#' starts a comment
 //! links = 10
 //! deadline_us = 2000
 //! payload_bytes = 100
-//! success = 0.9            # or a comma list: 0.9,0.8,...
-//! traffic = bernoulli:0.6  # or burst:0.25:6 | constant
+//! success = 0.9            # or a comma list: 0.9,0.8,... (one link: 0.9,)
+//! traffic = bernoulli:0.6  # or burst:0.25 | burst:0.25:6 | constant
 //! ratio = 0.99
 //! policy = db-dp           # db-dp | db-dp:pairs=K | ldf | eldf | fcsma
-//!                          #   | dcf | frame-csma | frame-csma:slots=K | fixed
+//!                          #   | dcf | frame-csma | frame-csma:slots=S | fixed
 //! intervals = 1000
 //! seed = 2018
 //! engine = timeline        # timeline | batched (optional, inert label)
@@ -61,23 +67,39 @@ pub fn render(sc: &Scenario) -> Result<String, NetError> {
     if sc.replications != 1 {
         return Err(unsupported("multiple replications"));
     }
+    let param = |p: &Param| {
+        p.render()
+            .ok_or_else(|| unsupported("an empty per-link list"))
+    };
+    let fields = [
+        ("links", sc.links.to_string()),
+        ("deadline_us", sc.deadline_us.to_string()),
+        ("payload_bytes", sc.payload_bytes.to_string()),
+        ("success", param(&sc.success)?),
+        (
+            "traffic",
+            sc.traffic
+                .render()
+                .ok_or_else(|| unsupported("an empty per-link list"))?,
+        ),
+        ("ratio", param(&sc.ratio)?),
+        (
+            "policy",
+            sc.policy
+                .render()
+                .ok_or_else(|| unsupported("a non-default policy parameterization"))?,
+        ),
+        ("intervals", sc.intervals.to_string()),
+        ("seed", sc.seed.to_string()),
+        ("engine", sc.engine.label().to_string()),
+    ];
     let mut out = String::from("# rtmac-netd scenario\n");
-    let mut field = |key: &str, value: String| {
+    for (key, value) in fields {
         out.push_str(key);
         out.push_str(" = ");
         out.push_str(&value);
         out.push('\n');
-    };
-    field("links", sc.links.to_string());
-    field("deadline_us", sc.deadline_us.to_string());
-    field("payload_bytes", sc.payload_bytes.to_string());
-    field("success", render_param(&sc.success));
-    field("traffic", render_traffic(&sc.traffic)?);
-    field("ratio", render_param(&sc.ratio));
-    field("policy", render_policy(&sc.policy)?);
-    field("intervals", sc.intervals.to_string());
-    field("seed", sc.seed.to_string());
-    field("engine", sc.engine.label().to_string());
+    }
     Ok(out)
 }
 
@@ -85,71 +107,6 @@ fn unsupported(what: &str) -> NetError {
     NetError::Unsupported(format!(
         "{what} cannot be expressed in the scenario file format"
     ))
-}
-
-fn render_param(p: &Param) -> String {
-    match p {
-        Param::Uniform(v) => v.to_string(),
-        // A trailing comma keeps a one-element per-link vector distinct
-        // from a uniform value, so parse(render(x)) == x holds.
-        Param::PerLink(v) if v.len() == 1 => format!("{},", v[0]),
-        Param::PerLink(v) => v.iter().map(f64::to_string).collect::<Vec<_>>().join(","),
-    }
-}
-
-fn render_traffic(t: &TrafficSpec) -> Result<String, NetError> {
-    Ok(match t {
-        TrafficSpec::Constant => "constant".to_string(),
-        TrafficSpec::Bernoulli { lambda } => format!("bernoulli:{}", render_param(lambda)),
-        TrafficSpec::Burst { alpha, burst_max } => {
-            format!("burst:{}:{burst_max}", render_param(alpha))
-        }
-    })
-}
-
-fn render_policy(p: &PolicySpec) -> Result<String, NetError> {
-    if let PolicySpec::DbDp { swap_pairs, .. } = p {
-        if *p == PolicySpec::db_dp() {
-            return Ok("db-dp".to_string());
-        }
-        if *p == PolicySpec::db_dp_pairs(*swap_pairs) {
-            return Ok(format!("db-dp:pairs={swap_pairs}"));
-        }
-        return Err(unsupported("a non-default DB-DP parameterization"));
-    }
-    if let PolicySpec::FrameCsma { control_slots, .. } = p {
-        if *p == PolicySpec::frame_csma() {
-            return Ok("frame-csma".to_string());
-        }
-        let canonical = match PolicySpec::frame_csma() {
-            PolicySpec::FrameCsma { influence, .. } => PolicySpec::FrameCsma {
-                influence,
-                control_slots: *control_slots,
-            },
-            _ => unreachable!("frame_csma() constructs FrameCsma"),
-        };
-        if *p == canonical {
-            return Ok(format!("frame-csma:slots={control_slots}"));
-        }
-        return Err(unsupported("a non-default frame-CSMA parameterization"));
-    }
-    Ok(match p {
-        PolicySpec::Ldf => "ldf",
-        PolicySpec::Fcsma => "fcsma",
-        PolicySpec::Dcf => "dcf",
-        PolicySpec::FixedPriority => "fixed",
-        PolicySpec::Eldf { .. } => {
-            if *p == PolicySpec::eldf() {
-                "eldf"
-            } else {
-                return Err(unsupported("a non-default ELDF parameterization"));
-            }
-        }
-        PolicySpec::DbDp { .. } | PolicySpec::FrameCsma { .. } => {
-            unreachable!("handled above")
-        }
-    }
-    .to_string())
 }
 
 /// Parses the file format back into a scenario (named `"custom"`).
@@ -170,14 +127,7 @@ fn render_policy(p: &PolicySpec) -> Result<String, NetError> {
 /// assert_eq!(back.links, sc.links);
 /// ```
 pub fn parse(text: &str) -> Result<Scenario, NetError> {
-    // Start from a registry scenario so defaults (replications = 1, no
-    // fault/admission/track) are shared, then overwrite every field the
-    // format carries.
-    let mut sc = by_name("tiny").ok_or_else(|| NetError::Config("registry lost tiny".into()))?;
-    sc.name = "custom";
-    sc.engine = EngineSpec::default();
-    let mut present = [false; 9];
-    const KEYS: [&str; 9] = [
+    const KEYS: [&str; 10] = [
         "links",
         "deadline_us",
         "payload_bytes",
@@ -187,145 +137,134 @@ pub fn parse(text: &str) -> Result<Scenario, NetError> {
         "policy",
         "intervals",
         "seed",
+        "engine",
     ];
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(parse_err(lineno, "expected `key = value`"));
-        };
-        let (key, value) = (key.trim(), value.trim());
-        if let Some(slot) = KEYS.iter().position(|&k| k == key) {
-            present[slot] = true;
-        }
-        match key {
-            "links" => sc.links = parse_num(lineno, key, value)?,
-            "deadline_us" => sc.deadline_us = parse_num(lineno, key, value)?,
-            "payload_bytes" => sc.payload_bytes = parse_num(lineno, key, value)?,
-            "success" => sc.success = parse_param(lineno, value)?,
-            "traffic" => sc.traffic = parse_traffic(lineno, value)?,
-            "ratio" => sc.ratio = parse_param(lineno, value)?,
-            "policy" => sc.policy = parse_policy(lineno, value)?,
-            "intervals" => sc.intervals = parse_num(lineno, key, value)?,
-            "seed" => sc.seed = parse_num(lineno, key, value)?,
-            "engine" => {
-                sc.engine = match value {
-                    "timeline" => EngineSpec::Timeline,
-                    "batched" => EngineSpec::Batched,
-                    other => {
-                        return Err(parse_err(
-                            lineno,
-                            &format!("unknown engine `{other}` (timeline, batched)"),
-                        ))
-                    }
-                }
+    let kv = KeyValues::read("scenario file", text, &KEYS)?;
+    let engine = |v: &str| {
+        [EngineSpec::Timeline, EngineSpec::Batched]
+            .into_iter()
+            .find(|e| e.label() == v)
+    };
+    Ok(Scenario {
+        name: "custom",
+        links: kv.integer("links")?,
+        deadline_us: kv.integer("deadline_us")?,
+        payload_bytes: kv.integer("payload_bytes")?,
+        success: kv.value("success", Param::parse, Param::GRAMMAR)?,
+        traffic: kv.value("traffic", TrafficSpec::parse, TrafficSpec::GRAMMAR)?,
+        ratio: kv.value("ratio", Param::parse, Param::GRAMMAR)?,
+        policy: kv.value("policy", PolicySpec::parse, PolicySpec::GRAMMAR)?,
+        intervals: kv.integer("intervals")?,
+        seed: kv.integer("seed")?,
+        replications: 1,
+        track: None,
+        fault: None,
+        admission: None,
+        engine: kv
+            .optional("engine", engine, "timeline or batched")?
+            .unwrap_or_default(),
+    })
+}
+
+/// A `key = value` text read into one slot per expected key: the line
+/// reader behind scenario files and the emulation harness's child
+/// reports. Blank lines and `#` comments are skipped; a line without `=`
+/// or with an unexpected key is an error naming its line; a repeated key
+/// keeps its last value.
+pub(crate) struct KeyValues<'a> {
+    source: &'static str,
+    keys: &'a [&'a str],
+    /// `(line, value)` per entry of `keys`.
+    slots: Vec<Option<(usize, &'a str)>>,
+}
+
+impl<'a> KeyValues<'a> {
+    /// Reads `text` (a `source`, e.g. `"scenario file"`, for messages),
+    /// accepting exactly the keys in `keys`.
+    pub(crate) fn read(
+        source: &'static str,
+        text: &'a str,
+        keys: &'a [&'a str],
+    ) -> Result<Self, NetError> {
+        let mut slots = vec![None; keys.len()];
+        for (idx, raw) in text.lines().enumerate() {
+            let line = idx + 1;
+            let content = raw.split('#').next().unwrap_or("").trim();
+            if content.is_empty() {
+                continue;
             }
-            other => return Err(parse_err(lineno, &format!("unknown key `{other}`"))),
+            let Some((key, value)) = content.split_once('=') else {
+                return Err(parse_err(source, line, "expected `key = value`"));
+            };
+            let key = key.trim();
+            let Some(slot) = keys.iter().position(|&k| k == key) else {
+                return Err(parse_err(source, line, &format!("unknown key `{key}`")));
+            };
+            slots[slot] = Some((line, value.trim()));
         }
+        Ok(KeyValues {
+            source,
+            keys,
+            slots,
+        })
     }
-    for (slot, key) in KEYS.iter().enumerate() {
-        if !present[slot] {
-            return Err(parse_err(0, &format!("missing required key `{key}`")));
-        }
-    }
-    Ok(sc)
-}
 
-fn parse_err(line: usize, msg: &str) -> NetError {
-    NetError::Parse {
-        line,
-        msg: msg.to_string(),
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(line: usize, key: &str, value: &str) -> Result<T, NetError> {
-    value
-        .parse()
-        .map_err(|_| parse_err(line, &format!("bad {key} value `{value}`")))
-}
-
-fn parse_param(line: usize, value: &str) -> Result<Param, NetError> {
-    if value.contains(',') {
-        let mut out = Vec::new();
-        for part in value.split(',').filter(|p| !p.trim().is_empty()) {
-            out.push(
-                part.trim()
-                    .parse::<f64>()
-                    .map_err(|_| parse_err(line, &format!("bad number `{part}`")))?,
-            );
-        }
-        if out.is_empty() {
-            return Err(parse_err(line, "empty per-link list"));
-        }
-        Ok(Param::PerLink(out))
-    } else {
-        Ok(Param::Uniform(value.parse::<f64>().map_err(|_| {
-            parse_err(line, &format!("bad number `{value}`"))
-        })?))
-    }
-}
-
-fn parse_traffic(line: usize, value: &str) -> Result<TrafficSpec, NetError> {
-    if value == "constant" {
-        return Ok(TrafficSpec::Constant);
-    }
-    if let Some(lambda) = value.strip_prefix("bernoulli:") {
-        return Ok(TrafficSpec::Bernoulli {
-            lambda: parse_param(line, lambda)?,
-        });
-    }
-    if let Some(rest) = value.strip_prefix("burst:") {
-        let Some((alpha, burst_max)) = rest.rsplit_once(':') else {
-            return Err(parse_err(line, "burst traffic needs `burst:<alpha>:<max>`"));
+    /// The value of an optional key through `parse`; a value `parse`
+    /// refuses is an error naming the key, the value and `expected`.
+    pub(crate) fn optional<T>(
+        &self,
+        key: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+        expected: &str,
+    ) -> Result<Option<T>, NetError> {
+        let slot = self.keys.iter().position(|&k| k == key);
+        let Some((line, value)) = slot.and_then(|s| self.slots[s]) else {
+            return Ok(None);
         };
-        return Ok(TrafficSpec::Burst {
-            alpha: parse_param(line, alpha)?,
-            burst_max: parse_num(line, "burst_max", burst_max)?,
-        });
+        parse(value).map(Some).ok_or_else(|| {
+            parse_err(
+                self.source,
+                line,
+                &format!("bad {key} value `{value}` (expected {expected})"),
+            )
+        })
     }
-    Err(parse_err(
-        line,
-        &format!("unknown traffic `{value}` (constant, bernoulli:<λ>, burst:<α>:<max>)"),
-    ))
+
+    /// As [`KeyValues::optional`], but a missing key is an error too.
+    pub(crate) fn value<T>(
+        &self,
+        key: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+        expected: &str,
+    ) -> Result<T, NetError> {
+        self.optional(key, parse, expected)?
+            .ok_or_else(|| parse_err(self.source, 0, &format!("missing required key `{key}`")))
+    }
+
+    /// A required unsigned-integer key.
+    pub(crate) fn integer<T: std::str::FromStr>(&self, key: &str) -> Result<T, NetError> {
+        self.value(key, |v| v.parse().ok(), "an unsigned integer")
+    }
 }
 
-fn parse_policy(line: usize, value: &str) -> Result<PolicySpec, NetError> {
-    match value {
-        "db-dp" => return Ok(PolicySpec::db_dp()),
-        "ldf" => return Ok(PolicySpec::Ldf),
-        "eldf" => return Ok(PolicySpec::eldf()),
-        "fcsma" => return Ok(PolicySpec::Fcsma),
-        "dcf" => return Ok(PolicySpec::Dcf),
-        "frame-csma" => return Ok(PolicySpec::frame_csma()),
-        "fixed" => return Ok(PolicySpec::FixedPriority),
-        _ => {}
-    }
-    if let Some(pairs) = value.strip_prefix("db-dp:pairs=") {
-        return Ok(PolicySpec::db_dp_pairs(parse_num(line, "pairs", pairs)?));
-    }
-    if let Some(slots) = value.strip_prefix("frame-csma:slots=") {
-        let control_slots = parse_num(line, "slots", slots)?;
-        return Ok(match PolicySpec::frame_csma() {
-            PolicySpec::FrameCsma { influence, .. } => PolicySpec::FrameCsma {
-                influence,
-                control_slots,
-            },
-            _ => unreachable!("frame_csma() constructs FrameCsma"),
-        });
-    }
-    Err(parse_err(line, &format!("unknown policy `{value}`")))
+fn parse_err(source: &str, line: usize, detail: &str) -> NetError {
+    let msg = if line == 0 {
+        format!("{source}: {detail}")
+    } else {
+        format!("{source} line {line}: {detail}")
+    };
+    NetError::Parse { line, msg }
 }
 
-/// Resolves a CLI `--scenario` value: a registry name first, then a file
+/// Resolves a `--scenario` value: a registry name first, then a file
 /// path.
 ///
 /// # Errors
 ///
-/// Returns [`NetError::Io`] when the file cannot be read and
-/// [`NetError::Parse`] when its contents do not parse.
+/// Returns [`NetError::Config`] when `spec` is neither a registry name
+/// nor a readable file (a deployment mistake, which `rtmac-netd` reports
+/// with exit code 2) and [`NetError::Parse`] when the file's contents do
+/// not parse.
 ///
 /// # Example
 ///
@@ -340,7 +279,7 @@ pub fn load(spec: &str) -> Result<Scenario, NetError> {
         return Ok(sc);
     }
     let text = std::fs::read_to_string(spec).map_err(|e| {
-        NetError::Io(format!(
+        NetError::Config(format!(
             "`{spec}` is neither a registry scenario nor a readable file: {e}"
         ))
     })?;
@@ -376,41 +315,35 @@ mod tests {
     }
 
     #[test]
-    fn per_link_vectors_survive_even_with_one_entry() {
-        let mut sc = scenario::by_name("tiny").unwrap().with_links(1);
-        sc.success = Param::PerLink(vec![0.75]);
-        sc.ratio = Param::PerLink(vec![0.5]);
-        let back = parse(&render(&sc).unwrap()).unwrap();
-        assert_eq!(back.success, Param::PerLink(vec![0.75]));
-        assert_eq!(back.ratio, Param::PerLink(vec![0.5]));
-    }
-
-    #[test]
-    fn policy_spellings_round_trip() {
-        for policy in [
-            rtmac::PolicySpec::db_dp(),
-            rtmac::PolicySpec::db_dp_pairs(4),
-            rtmac::PolicySpec::Ldf,
-            rtmac::PolicySpec::eldf(),
-            rtmac::PolicySpec::Fcsma,
-            rtmac::PolicySpec::Dcf,
-            rtmac::PolicySpec::frame_csma(),
-            rtmac::PolicySpec::FixedPriority,
-        ] {
-            let sc = scenario::by_name("tiny").unwrap().with_policy(policy);
-            let back = parse(&render(&sc).unwrap()).unwrap();
-            assert_eq!(back.policy, policy);
-        }
+    fn the_checked_in_example_parses_and_round_trips() {
+        let sc = parse(include_str!("../../../examples/control10.scenario")).unwrap();
+        assert_eq!((sc.links, sc.intervals, sc.seed), (10, 200, 2018));
+        assert_eq!(sc.policy, PolicySpec::db_dp());
+        assert!(sc.network().is_ok());
+        assert_eq!(parse(&render(&sc).unwrap()).unwrap(), sc);
     }
 
     #[test]
     fn bad_inputs_name_their_line() {
         let err = parse("links = 3\nwat\n").unwrap_err();
         assert!(matches!(err, NetError::Parse { line: 2, .. }));
+        assert_eq!(
+            err.to_string(),
+            "scenario file line 2: expected `key = value`"
+        );
         let err = parse("nonsense = 1\n").unwrap_err();
         assert!(matches!(err, NetError::Parse { line: 1, .. }));
         // Missing keys are reported too.
         assert!(matches!(parse("links = 3\n"), Err(NetError::Parse { .. })));
+        // A bad value names its key, its value and the grammar.
+        let text = render(&scenario::by_name("tiny").unwrap())
+            .unwrap()
+            .replace("policy = db-dp", "policy = tdma");
+        let msg = parse(&text).unwrap_err().to_string();
+        assert!(
+            msg.contains("policy") && msg.contains("`tdma`") && msg.contains("frame-csma"),
+            "{msg}"
+        );
     }
 
     #[test]
@@ -421,10 +354,19 @@ mod tests {
         assert!(matches!(render(&sc), Err(NetError::Unsupported(_))));
         let sc = scenario::by_name("tiny").unwrap().with_replications(5);
         assert!(matches!(render(&sc), Err(NetError::Unsupported(_))));
+        let sc = scenario::by_name("tiny")
+            .unwrap()
+            .with_policy(rtmac::PolicySpec::DbDp {
+                influence: rtmac::scenario::InfluenceSpec::Linear,
+                r: 10.0,
+                swap_pairs: 1,
+            });
+        assert!(matches!(render(&sc), Err(NetError::Unsupported(_))));
     }
 
     #[test]
     fn load_prefers_the_registry() {
         assert_eq!(load("video20").unwrap().name, "video20");
+        assert!(matches!(load("/no/such/file"), Err(NetError::Config(_))));
     }
 }
